@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .cyclic import CyclicAction, restriction_cochain_matrix
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
-                           cohomology_at, localize)
+                           _is_prime, cohomology_at, localize)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
@@ -109,10 +109,12 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     >>> str(sl2z_cohomology(2, 1))
     'Z + Z/2'
     >>> str(sl2z_cohomology(1, 1, modulus=2))
-    'Z/2 + Z/2'
+    'Z/2'
     """
     if k < 0 or p < 0:
         raise ValueError("k and p must be non-negative")
+    if modulus is not None and not _is_prime(modulus):
+        raise ValueError(f"modulus must be a prime, got {modulus}")
     inverted = frozenset(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .amalgam import sl2z_cohomology
 from .checks import run_suite, SUITES
-from .exact_linalg import FgAbelianGroup, group_to_json
+from .exact_linalg import FgAbelianGroup, group_to_json, inverted_primes
 from .moduli import (DegenerationUnproven, complement_group,
                      half_inverted_group, m11_group)
 from .torsor import (build_canonical_torsor, cyclic_group_data,
@@ -38,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     ring = one.add_mutually_exclusive_group()
     ring.add_argument("--mod", type=int, metavar="PRIME",
                       help="coefficients in the prime field F_PRIME")
-    ring.add_argument("--invert", type=int, action="append", metavar="PRIME",
-                      default=None, help="invert a prime (repeatable)")
+    ring.add_argument("--invert", type=int, action="append", metavar="N",
+                      default=None,
+                      help="invert the primes dividing N (repeatable)")
     one.add_argument("--format", choices=("md", "csv", "json"), default="md")
     one.add_argument("--out", metavar="PATH")
 
@@ -65,20 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(group: FgAbelianGroup, inverted) -> str:
+def _render(group: FgAbelianGroup, inverted: tuple[int, ...]) -> str:
+    """Render ``group``; ``inverted`` holds distinct primes."""
     if inverted:
-        product = 1
-        for q in set(inverted):
-            product *= q
-        return group.render(free_symbol=f"Z[1/{product}]")
+        return group.render(free_symbol=f"Z[1/{math.prod(inverted)}]")
     return group.render()
 
 
 def _cmd_sl2z(args) -> str:
     if args.k < 0 or args.p < 0:
         raise UsageError("--k and --p must be nonnegative")
-    invert = tuple(args.invert) if args.invert else ()
     try:
+        invert = inverted_primes(args.invert or ())
         group = sl2z_cohomology(args.k, args.p, modulus=args.mod, invert=invert)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -87,7 +87,7 @@ def _cmd_sl2z(args) -> str:
         if args.mod:
             payload["mod"] = args.mod
         if invert:
-            payload["inverted"] = sorted(set(invert))
+            payload["inverted"] = list(invert)
         return json.dumps(payload, sort_keys=True, indent=2)
     if args.format == "csv":
         return f"k,p,group\n{args.k},{args.p},{_render(group, invert)}"

@@ -2,13 +2,20 @@
 
 Everything in this module works with dense matrices of arbitrary-precision
 Python integers; there is deliberately no floating point and no fixed-width
-arithmetic anywhere on the Smith normal form path.  The two central
-operations are
+arithmetic anywhere.  The central operations are
 
-* ``smith_normal_form``: U * A * V = D with unimodular U, V and a diagonal
-  whose entries form a divisibility chain, and
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
-  finite cochain complex, returned as an ``FgAbelianGroup``.
+  finite cochain complex, returned as an ``FgAbelianGroup``.  Over Z it
+  needs only ranks and the elementary divisors of d_{n-1}, because a
+  kernel is a saturated sublattice;
+* ``bareiss_rank``: rank and a nonzero maximal minor N by fraction-free
+  elimination, whose entries are minors and so stay within Hadamard's bound;
+* ``elementary_divisors``: the divisors above 1 from a diagonal form modulo
+  N, which they all divide, so no coefficient exceeds N (the mod-determinant
+  method of Hafner and McCurley);
+* ``smith_normal_form``: U * A * V = D with unimodular U, V and a diagonal
+  whose entries form a divisibility chain, certified before it returns.
+  It is the dense reference the divisor route is tested against.
 
 Groups are always reduced to canonical invariant-factor form, so equality
 of ``FgAbelianGroup`` values is isomorphism of the groups they denote.
@@ -94,17 +101,6 @@ class IntegerMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def diagonal(cls, entries: Iterable[int], rows: int | None = None,
-                 cols: int | None = None) -> "IntegerMatrix":
-        ent = list(entries)
-        r = len(ent) if rows is None else rows
-        c = len(ent) if cols is None else cols
-        data = [[0] * c for _ in range(r)]
-        for i, e in enumerate(ent):
-            data[i][i] = e
-        return cls(data, cols=c)
 
     @classmethod
     def from_blocks(cls, grid: list[list["IntegerMatrix"]]) -> "IntegerMatrix":
@@ -243,17 +239,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _snf_transforms(a: IntegerMatrix):
     """Diagonalize by elementary unimodular row and column operations.
 
-    Returns nested-list matrices (u, d, v, vinv) with u*a*v == d, the diagonal
-    of d non-negative and each entry dividing the next.  u and v are products
-    of elementary operations and therefore unimodular by construction; vinv is
-    maintained as the exact inverse of v so that callers can move vectors into
-    and out of Smith coordinates without a separate inversion.
+    Returns nested-list matrices (u, d, v) with u*a*v == d, the diagonal of d
+    non-negative and each entry dividing the next.  u and v are products of
+    elementary operations and therefore unimodular by construction.
     """
     m, n = a.rows, a.cols
     d = a.to_lists()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_combine(i, k, x, y, z, w):
         # (row_i, row_k) <- (x*row_i + y*row_k, z*row_i + w*row_k); det must be +-1
@@ -276,18 +269,15 @@ def _snf_transforms(a: IntegerMatrix):
             mat[i] = [-x for x in mat[i]]
 
     def col_add(j, k, q):
-        # col_j += q * col_k on d and v; vinv gets the inverse op: row_k -= q * row_j
+        # col_j += q * col_k on d and v
         for mat in (d, v):
             for row in mat:
                 row[j] += q * row[k]
-        rj = vinv[j]
-        vinv[k] = [p - q * r for p, r in zip(vinv[k], rj)]
 
     def col_swap(j, k):
         for mat in (d, v):
             for row in mat:
                 row[j], row[k] = row[k], row[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def col_combine(j, k, x, y, z, w):
         # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k), det(x*w - y*z) == 1
@@ -296,10 +286,6 @@ def _snf_transforms(a: IntegerMatrix):
                 cj, ck = row[j], row[k]
                 row[j] = x * cj + y * ck
                 row[k] = z * cj + w * ck
-        # inverse of [[x, z], [y, w]] acting on rows j, k of vinv
-        rj, rk = vinv[j], vinv[k]
-        vinv[j] = [w * p - z * q for p, q in zip(rj, rk)]
-        vinv[k] = [-y * p + x * q for p, q in zip(rj, rk)]
 
     def clear_column(t):
         for i in range(t + 1, m):
@@ -365,7 +351,7 @@ def _snf_transforms(a: IntegerMatrix):
         if d[t][t] < 0:
             row_negate(t)
         t += 1
-    return u, d, v, vinv
+    return u, d, v
 
 
 def smith_normal_form(a: IntegerMatrix):
@@ -375,7 +361,7 @@ def smith_normal_form(a: IntegerMatrix):
     entries form a divisibility chain.  The factorization is re-verified
     before returning, so a successful call certifies its own output.
     """
-    u, d, v, _ = _snf_transforms(a)
+    u, d, v = _snf_transforms(a)
     um = IntegerMatrix(u, cols=a.rows)
     dm = IntegerMatrix(d, cols=a.cols)
     vm = IntegerMatrix(v, cols=a.cols)
@@ -391,10 +377,123 @@ def smith_normal_form(a: IntegerMatrix):
     return um, dm, vm
 
 
+def bareiss_rank(a: IntegerMatrix) -> tuple[int, int]:
+    """Rank r of ``a`` and N = |last pivot| of fraction-free elimination.
+
+    After the t-th Bareiss step every live entry is a (t+1) x (t+1) minor of
+    ``a``, so coefficients stay within Hadamard's bound and each division by
+    the previous pivot is exact; an inexact one raises RuntimeError.  N is a
+    nonzero r x r minor, hence a multiple of the product of the elementary
+    divisors.  The zero matrix has r = 0 and N = 1.
+    """
+    rows = [list(row) for row in a if any(row)]
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        live = [i for i, row in enumerate(rows) if row[0]]
+        if not live:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot_row = rows.pop(min(live, key=lambda i: abs(rows[i][0])))
+        pivot, tail = pivot_row[0], pivot_row[1:]
+        out = []
+        for row in rows:
+            f = row[0]
+            if f:
+                vals = [x * pivot - f * y for x, y in zip(row[1:], tail)]
+            else:
+                vals = [x * pivot for x in row[1:]]
+            if prev != 1:
+                quot = [divmod(x, prev) for x in vals]
+                if any(r for _, r in quot):
+                    raise RuntimeError("Bareiss certificate failed: inexact division")
+                vals = [q for q, _ in quot]
+            if any(vals):
+                out.append(vals)
+        rows = out
+        rank, prev = rank + 1, pivot
+    return rank, abs(prev)
+
+
+def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
+    """Pivots, each in [1, modulus), of a diagonal form of ``a`` over Z/modulus.
+
+    Row and column operations are unimodular and every entry is kept reduced
+    into [0, modulus).  The pivot of a stage only shrinks when it has to be
+    replaced by a gcd, so each stage ends; no divisibility chain is enforced.
+    Diagonal positions past the returned pivots are 0 modulo ``modulus``.
+    """
+    m = [[x % modulus for x in row] for row in a]
+    m = [row for row in m if any(row)]
+    pivots = []
+    while m:
+        best = None
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        _, i, j = best
+        prow = m.pop(i)
+        for row in m + [prow]:
+            row[0], row[j] = row[j], row[0]
+        while True:
+            # clear the pivot column by row operations
+            for idx, row in enumerate(m):
+                b = row[0]
+                if not b:
+                    continue
+                p = prow[0]
+                if b % p == 0:
+                    q = b // p
+                    m[idx] = [(x - q * y) % modulus for x, y in zip(row, prow)]
+                else:
+                    g, x, y = _xgcd(p, b)
+                    s, t = b // g, p // g
+                    prow, m[idx] = ([(x * u + y * v) % modulus for u, v in zip(prow, row)],
+                                    [(t * v - s * u) % modulus for u, v in zip(prow, row)])
+            # a pivot dividing the rest of its row clears it by column
+            # operations that leave every other row alone
+            p = prow[0]
+            j = next((j for j in range(1, len(prow)) if prow[j] % p), None)
+            if j is None:
+                break
+            g, x, y = _xgcd(p, prow[j])
+            s, t = prow[j] // g, p // g
+            for row in m + [prow]:
+                u, v = row[0], row[j]
+                row[0], row[j] = (x * u + y * v) % modulus, (t * v - s * u) % modulus
+        pivots.append(prow[0])
+        m = [row[1:] for row in m if any(row[1:])]
+    return pivots
+
+
+def elementary_divisors(a: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank r of ``a`` and its elementary divisors above 1, ascending.
+
+    The divisors s_1 | ... | s_r multiply to the gcd of the r x r minors, so
+    each divides the minor N from ``bareiss_rank``.  Hence
+    Z^rows / (im a + N Z^rows) is Z/s_1 + ... + Z/s_r + (Z/N)^(rows - r),
+    which a diagonal form modulo N computes with entries below N.  The top
+    rows - r invariant factors of that group are N and are stripped.
+    """
+    rank, minor = bareiss_rank(a)
+    if minor == 1:
+        return rank, ()
+    pivots = _diagonal_mod(a, minor)
+    orders = [math.gcd(x, minor) for x in pivots] + [minor] * (a.rows - len(pivots))
+    factors = FgAbelianGroup(0, orders).invariant_factors
+    top = a.rows - rank
+    divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
+    if stripped != (minor,) * top or minor % math.prod(divisors):
+        raise RuntimeError("elementary divisor certificate failed: "
+                           f"factors {factors} do not fit the minor {minor}")
+    return rank, divisors
+
+
 def snf_diagonal(a: IntegerMatrix) -> list[int]:
     """Just the diagonal of the Smith normal form."""
-    _, d, _, _ = _snf_transforms(a)
-    return [d[i][i] for i in range(min(a.rows, a.cols))]
+    rank, divisors = elementary_divisors(a)
+    return ([1] * (rank - len(divisors)) + list(divisors)
+            + [0] * (min(a.rows, a.cols) - rank))
 
 
 def fp_rank(rows: Iterable[Iterable[int]], p: int) -> int:
@@ -442,27 +541,18 @@ class FgAbelianGroup:
     def __init__(self, free_rank: int = 0, cyclic_orders: Iterable[int] = ()):
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        exponents: dict[int, list[int]] = {}
-        for order in cyclic_orders:
-            if order < 1:
-                raise ValueError(f"cyclic order must be positive, got {order}")
-            if order == 1:
-                continue
-            for q, e in _factor(order).items():
-                exponents.setdefault(q, []).append(e)
-        for lst in exponents.values():
-            lst.sort(reverse=True)
-        depth = max((len(lst) for lst in exponents.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for q, lst in exponents.items():
-                if i < len(lst):
-                    f *= q ** lst[i]
-            factors.append(f)
-        factors.reverse()
+        orders = [order for order in cyclic_orders if order != 1]
+        if any(order < 1 for order in orders):
+            raise ValueError(f"cyclic order must be positive, got {min(orders)}")
+        # Z/a + Z/b = Z/gcd + Z/lcm; after pass i, orders[i] divides every
+        # later entry, so no order is ever factored
+        for i in range(len(orders)):
+            for j in range(i + 1, len(orders)):
+                a, b = orders[i], orders[j]
+                g = math.gcd(a, b)
+                orders[i], orders[j] = g, a // g * b
         self.free_rank = free_rank
-        self.invariant_factors = tuple(factors)
+        self.invariant_factors = tuple(f for f in orders if f > 1)
 
     # -- structure ----------------------------------------------------------
 
@@ -521,17 +611,27 @@ def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
     return groups[0].direct_sum(*groups[1:])
 
 
-def localize(group: FgAbelianGroup, inverted: Iterable[int]) -> FgAbelianGroup:
-    """Strip the primary parts at every prime dividing a member of ``inverted``.
+def inverted_primes(inverted: Iterable[int]) -> tuple[int, ...]:
+    """The primes dividing some member of ``inverted``, ascending.
 
-    This is the effect on isomorphism classes of tensoring with the subring
-    of Q in which those integers become units.  Total on any input.
+    >>> inverted_primes([4, 6])
+    (2, 3)
     """
     primes: set[int] = set()
     for n in inverted:
         if n < 2:
             raise ValueError("can only invert integers >= 2")
         primes.update(_factor(n))
+    return tuple(sorted(primes))
+
+
+def localize(group: FgAbelianGroup, inverted: Iterable[int]) -> FgAbelianGroup:
+    """Strip the primary parts at every prime dividing a member of ``inverted``.
+
+    This is the effect on isomorphism classes of tensoring with the subring
+    of Q in which those integers become units.  Total on any input.
+    """
+    primes = inverted_primes(inverted)
     stripped = []
     for f in group.invariant_factors:
         for q in primes:
@@ -634,12 +734,16 @@ class CochainComplex:
 def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     """ker(d_n)/im(d_{n-1}) as an abelian group in canonical form.
 
-    Over Z the kernel is read off from the Smith form of the outgoing
-    differential (columns of V at the zero part of the diagonal form a basis
-    of the kernel, which is a saturated sublattice), the image is rewritten
-    in those coordinates via V^{-1}, and a second Smith form yields the
-    invariant factors.  Over F_p only ranks are needed and the answer is a
-    direct sum of copies of Z/p.
+    Over Z, ker(d_n) is saturated in C^n: C^n/ker(d_n) embeds in the free
+    group C^{n+1}.  So the torsion of ker(d_n)/im(d_{n-1}) is the torsion of
+    coker(d_{n-1}), whose invariant factors are the elementary divisors of
+    d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}.  One
+    fraction-free elimination per differential gives the ranks; the
+    divisors come from a diagonal form modulo a nonzero maximal minor N of
+    d_{n-1}, which they divide, so that pass keeps every entry below N.
+    Bareiss entries are themselves minors, bounded by Hadamard's
+    inequality, and no unimodular transform is carried.  Over F_p only
+    ranks are needed and the answer is a direct sum of copies of Z/p.
     """
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")
@@ -655,25 +759,9 @@ def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
 
     if rank_here == 0:
         return FgAbelianGroup()
-
-    _, d_out, _, vinv = _snf_transforms(outgoing)
-    diag = [d_out[i][i] for i in range(min(outgoing.rows, outgoing.cols))]
-    kernel_idx = [j for j in range(rank_here) if j >= len(diag) or diag[j] == 0]
-    if not kernel_idx:
-        return FgAbelianGroup()
-
-    # coordinates of the incoming image in the kernel basis; rows of
-    # vinv * incoming away from the kernel must vanish because im <= ker
-    in_kernel = set(kernel_idx)
-    coords = []
-    for j in range(rank_here):
-        row = [sum(vinv[j][i] * incoming[i][c] for i in range(incoming.rows))
-               for c in range(incoming.cols)]
-        if j in in_kernel:
-            coords.append(row)
-        elif any(row):
-            raise RuntimeError("image not contained in kernel; d o d != 0?")
-    image_diag = snf_diagonal(IntegerMatrix(coords, cols=incoming.cols))
-    nonzero = [x for x in image_diag if x]
-    free = len(kernel_idx) - len(nonzero)
-    return FgAbelianGroup(free, [x for x in nonzero if x > 1])
+    rank_out, _ = bareiss_rank(outgoing)
+    rank_in, torsion = elementary_divisors(incoming)
+    free = rank_here - rank_out - rank_in
+    if free < 0:
+        raise RuntimeError("rank d_n + rank d_{n-1} exceeds rank C^n; d o d != 0?")
+    return FgAbelianGroup(free, torsion)

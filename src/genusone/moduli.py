@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .amalgam import sl2z_cohomology
-from .exact_linalg import (FgAbelianGroup, IntegerMatrix, direct_sum, localize,
-                           mod_p_dims)
+from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _is_prime, direct_sum,
+                           localize, mod_p_dims)
 from .group_modules import GeneratorSet, standard_generators, sym_power_matrix
 
 #: mod-2 dimensions of the complement part in degrees 0..8, an external
@@ -162,7 +162,7 @@ def p_torsion_scan(q: int, generators: GeneratorSet | None = None) -> PTorsionWi
     """
     if q == 2:
         raise ValueError("only odd primes are supported")
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+    if not _is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
     gens = generators or standard_generators()
     k = q + 1

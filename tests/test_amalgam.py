@@ -51,6 +51,24 @@ def test_higher_weight_calibration():
     assert sl2z_cohomology(8, 1) == FgAbelianGroup(1, [2, 168])
 
 
+def _cusp_form_dim(weight):
+    """dim S_w for even w >= 4: dim M_w = w // 12 + (0 if w = 2 mod 12 else 1)."""
+    return weight // 12 + (weight % 12 != 2) - 1
+
+
+@pytest.mark.parametrize("k,rank", [(24, 3), (32, 5), (48, 7)])
+def test_eichler_shimura_free_rank(k, rank):
+    # H^1(SL2(Z), Sym^k) (x) Q has dimension 2 dim S_{k+2} + 1 for even k
+    assert 2 * _cusp_form_dim(k + 2) + 1 == rank
+    assert sl2z_cohomology(k, 1).free_rank == rank
+
+
+@pytest.mark.parametrize("k", [17, 25])
+def test_odd_weight_h1_is_torsion(k):
+    # -I acts by -1 on Sym^k for odd k, which kills the rational cohomology
+    assert sl2z_cohomology(k, 1).free_rank == 0
+
+
 def test_periodicity_above_degree_one():
     # degrees >= 2 repeat with period 2 once past the free part
     for k in range(7):

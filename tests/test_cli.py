@@ -32,6 +32,24 @@ def test_sl2z_mod_and_invert(capsys):
     assert code == 0 and out.strip() == "Z[1/6]"
 
 
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "-2"])
+def test_sl2z_rejects_a_modulus_that_is_not_prime(capsys, modulus):
+    code, out, err = run(capsys, "sl2z", "--k", "1", "--p", "1", "--mod", modulus)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_sl2z_invert_normalises_to_primes(capsys):
+    code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1", "--invert", "4")
+    assert code == 0 and out.strip() == "Z[1/2] + Z/3"
+    code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1", "--invert", "6")
+    assert code == 0 and out.strip() == "Z[1/6]"
+    for arg, primes in (("4", [2]), ("6", [2, 3])):
+        code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1",
+                           "--invert", arg, "--format", "json")
+        assert code == 0 and json.loads(out)["inverted"] == primes
+
+
 def test_sl2z_json_round_trip(capsys):
     code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1",
                        "--format", "json")

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from genusone.amalgam import build_total_complex
 from genusone.cyclic import cyclic_cohomology
 from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
+from genusone.group_modules import standard_coefficient_module
 from genusone.oracles import (bar_cohomology, determinantal_invariant_factors,
                               random_cyclic_action, random_known_complex,
                               rational_rank, sparse_diagonal)
@@ -67,6 +69,20 @@ def test_random_known_complex_plants_its_answer():
     for _ in range(30):
         cpx, planted = random_known_complex(rng)
         assert cohomology_at(cpx, 1) == planted
+
+
+@pytest.mark.parametrize("k,p", [(18, 1), (20, 2), (24, 1)])
+def test_integral_cohomology_matches_oracles_at_large_k(k, p):
+    # cells where the groups carry large torsion (Z/3060 at (18, 1),
+    # Z/1275120 at (24, 1)); the expected group comes from the sparse
+    # divisor and fraction-rank oracles on the same complex
+    cpx = build_total_complex(standard_coefficient_module("sym_k", k), p + 2).complex
+    incoming = cpx.differential(p - 1)
+    divisors = sparse_diagonal(incoming)
+    rank_in = rational_rank(incoming)
+    assert len(divisors) == rank_in
+    free = cpx.ranks[p] - rational_rank(cpx.differential(p)) - rank_in
+    assert cohomology_at(cpx, p) == FgAbelianGroup(free, [d for d in divisors if d > 1])
 
 
 def test_random_cyclic_action_has_right_order():
