@@ -17,6 +17,13 @@ which squares to zero because the restrictions are chain maps.  Computing
 cohomology of this single complex avoids the extension ambiguities a long
 exact sequence would leave behind; in particular the Z/4 inside
 H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
+
+Every block of D_n depends only on the parity of n once n >= 1 (the
+periodic differentials and the restrictions alternate with period 2), so
+D_n = D_{n+2} for n >= 1.  ``sl2z_cohomology`` therefore builds one complex
+per (k, base), in degrees 0..4, which carries D_0..D_3, validates it once,
+and reads every p >= 4 as p' = 2 + p % 2: H^p needs D_{p-1} and D_p, and
+those are D_{p'-1} and D_{p'}.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Iterable
 
 from .cyclic import CyclicAction, restriction_cochain_matrix
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
-                           _is_prime, cohomology_at, localize)
+                           _is_prime, cohomology_at, inverted_primes, localize)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
@@ -53,51 +60,63 @@ def _vertex_actions(module: GroupModule):
             CyclicAction(2, minus, base))
 
 
-def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
-    """Assemble the mapping-cone complex in degrees 0..top_degree.
-
-    top_degree must be at least 1 so that the complex carries at least one
-    differential; callers wanting H^p should build to p + 2 (the default in
-    ``sl2z_cohomology``) so both neighbouring differentials exist.
-    """
-    if top_degree < 1:
-        raise ValueError("top_degree must be at least 1")
+def _parity_blocks(module: GroupModule):
+    """Blocks of D_n for even and for odd n: (dA, dB, dC at n - 1, r_A, r_B)."""
     a, b, c = _vertex_actions(module)
-    r = module.rank
-    zero = IntegerMatrix.zeros(r, r)
 
     def delta(action: CyclicAction, n: int) -> IntegerMatrix:
         return action.coboundary() if n % 2 == 0 else action.norm()
 
-    ranks = [2 * r] + [3 * r] * top_degree
-    diffs = []
-    for n in range(top_degree):
-        res_a = restriction_cochain_matrix(a, 2, n)
-        res_b = restriction_cochain_matrix(b, 3, n)
+    return [(delta(a, n), delta(b, n), delta(c, n - 1),
+             restriction_cochain_matrix(a, 2, n), restriction_cochain_matrix(b, 3, n))
+            for n in (0, 1)]
+
+
+def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
+    """Assemble the mapping-cone complex in degrees 0..top_degree.
+
+    top_degree must be at least 1 so that the complex carries at least one
+    differential; H^p needs degrees up to p + 1 so that both neighbouring
+    differentials exist.
+    """
+    if top_degree < 1:
+        raise ValueError("top_degree must be at least 1")
+    blocks = _parity_blocks(module)
+    r = module.rank
+    zero = IntegerMatrix.zeros(r, r)
+
+    def differential(n: int) -> IntegerMatrix:
+        da, db, dc, res_a, res_b = blocks[n % 2]
         if n == 0:
-            grid = [[delta(a, 0), zero],
-                    [zero, delta(b, 0)],
+            grid = [[da, zero],
+                    [zero, db],
                     [res_a, -res_b]]
         else:
-            grid = [[delta(a, n), zero, zero],
-                    [zero, delta(b, n), zero],
-                    [res_a, -res_b, -delta(c, n - 1)]]
-        diffs.append(IntegerMatrix.from_blocks(grid))
-    total = CochainComplex(ranks, diffs, base=module.base)
+            grid = [[da, zero, zero],
+                    [zero, db, zero],
+                    [res_a, -res_b, -dc]]
+        return IntegerMatrix.from_blocks(grid)
+
+    ranks = [2 * r] + [3 * r] * top_degree
+    total = CochainComplex(ranks, (differential(n) for n in range(top_degree)),
+                           base=module.base)
     return AmalgamComplex(total, module.name, r, top_degree)
 
 
 @lru_cache(maxsize=None)
-def _sym_complex(k: int, top_degree: int, modulus: int | None) -> AmalgamComplex:
+def _sym_complex(k: int, modulus: int | None) -> AmalgamComplex:
     module = standard_coefficient_module("sym_k", k)
     if modulus is not None:
         module = module.reduce(modulus)
-    return build_total_complex(module, top_degree)
+    return build_total_complex(module, 4)
 
 
 @lru_cache(maxsize=None)
 def _sym_cohomology(k: int, p: int, modulus: int | None) -> FgAbelianGroup:
-    return cohomology_at(_sym_complex(k, p + 2, modulus).complex, p)
+    if p >= 4:
+        # D_{p-1}, D_p are D_1, D_2 (p even) or D_2, D_3 (p odd)
+        return _sym_cohomology(k, 2 + p % 2, modulus)
+    return cohomology_at(_sym_complex(k, modulus).complex, p)
 
 
 def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
@@ -115,7 +134,7 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
         raise ValueError("k and p must be non-negative")
     if modulus is not None and not _is_prime(modulus):
         raise ValueError(f"modulus must be a prime, got {modulus}")
-    inverted = frozenset(invert)
+    inverted = inverted_primes(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")
     group = _sym_cohomology(k, p, modulus)

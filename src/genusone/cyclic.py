@@ -16,50 +16,58 @@ which the group acts through a quotient are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, cohomology_at
 
 
 @dataclass(frozen=True)
 class CyclicAction:
-    """An action of Z/m on a free module, over Z (base None) or F_p."""
+    """An action of Z/m on a free module, over Z (base None) or F_p.
+
+    The powers g^0, ..., g^{m-1} are computed once, reduced over F_p, and
+    the last of them times g is checked to be the identity.
+    """
 
     order: int
     gen: IntegerMatrix
     base: int | None = None
+    _powers: tuple[IntegerMatrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("group order must be positive")
         if self.gen.rows != self.gen.cols:
             raise ValueError("generator action must be square")
-        eye = IntegerMatrix.identity(self.rank)
-        power = self.gen ** self.order
-        if self.base is not None:
-            power, eye = power.mod(self.base), eye.mod(self.base)
-        if power != eye:
+        powers = [IntegerMatrix.identity(self.rank)]
+        for _ in range(self.order):
+            powers.append(self._reduce(powers[-1] * self.gen))
+        if not powers.pop().is_identity():
             raise ValueError(f"generator matrix does not satisfy g^{self.order} = I")
+        object.__setattr__(self, "_powers", tuple(powers))
+
+    def _reduce(self, m: IntegerMatrix) -> IntegerMatrix:
+        return m.mod(self.base) if self.base is not None else m
 
     @property
     def rank(self) -> int:
         return self.gen.rows
 
     def power(self, i: int) -> IntegerMatrix:
-        m = self.gen ** (i % self.order)
-        return m.mod(self.base) if self.base is not None else m
+        return self._powers[i % self.order]
+
+    def partial_norm(self, d: int) -> IntegerMatrix:
+        """1 + g + ... + g^{d-1}, for 1 <= d <= order."""
+        total = self._powers[0]
+        for power in self._powers[1:d]:
+            total = total + power
+        return self._reduce(total)
 
     def coboundary(self) -> IntegerMatrix:
-        out = self.gen - IntegerMatrix.identity(self.rank)
-        return out.mod(self.base) if self.base is not None else out
+        return self._reduce(self.gen - self._powers[0])
 
     def norm(self) -> IntegerMatrix:
-        total = IntegerMatrix.zeros(self.rank, self.rank)
-        power = IntegerMatrix.identity(self.rank)
-        for _ in range(self.order):
-            total = total + power
-            power = power * self.gen
-        return total.mod(self.base) if self.base is not None else total
+        return self.partial_norm(self.order)
 
 
 def periodic_complex(action: CyclicAction, top_degree: int) -> CochainComplex:
@@ -105,12 +113,7 @@ def restriction_cochain_matrix(action: CyclicAction, d: int, n: int) -> IntegerM
         raise ValueError("degree must be non-negative")
     if n % 2 == 0:
         return IntegerMatrix.identity(action.rank)
-    total = IntegerMatrix.zeros(action.rank, action.rank)
-    power = IntegerMatrix.identity(action.rank)
-    for _ in range(d):
-        total = total + power
-        power = power * action.gen
-    return total.mod(action.base) if action.base is not None else total
+    return action.partial_norm(d)
 
 
 def subgroup_action(action: CyclicAction, d: int) -> CyclicAction:

@@ -111,7 +111,7 @@ class IntegerMatrix:
             if any(b.rows != height for b in block_row):
                 raise ValueError("inconsistent block heights")
             for i in range(height):
-                data.append([x for b in block_row for x in b[i]])
+                data.append(tuple(x for b in block_row for x in b[i]))
         cols = sum(b.cols for b in grid[0]) if grid else 0
         return cls(data, cols=cols)
 
@@ -140,8 +140,15 @@ class IntegerMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        bt = list(zip(*other._data)) if other.rows else [()] * other.cols
-        out = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._data]
+        # row i of the product is the sum of a_ij * (row j of other) over the
+        # nonzero a_ij, so zero entries cost nothing
+        out = []
+        for row in self._data:
+            acc = [0] * other.cols
+            for a, other_row in zip(row, other._data):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, other_row)]
+            out.append(tuple(acc))
         return IntegerMatrix(out, cols=other.cols)
 
     def __rmul__(self, other):
@@ -171,8 +178,9 @@ class IntegerMatrix:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def transpose(self) -> "IntegerMatrix":
@@ -181,7 +189,7 @@ class IntegerMatrix:
         return IntegerMatrix(list(zip(*self._data)), cols=self.rows)
 
     def mod(self, p: int) -> "IntegerMatrix":
-        return IntegerMatrix([[x % p for x in r] for r in self._data], cols=self.cols)
+        return IntegerMatrix(([x % p for x in r] for r in self._data), cols=self.cols)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -696,15 +704,14 @@ class CochainComplex:
     def __init__(self, ranks: Iterable[int], differentials: Iterable[IntegerMatrix],
                  base: int | None = None):
         ranks = tuple(int(r) for r in ranks)
-        diffs = tuple(differentials)
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
+        if base is not None and not _is_prime(base):
+            raise ValueError(f"base must be a prime or None, got {base}")
+        # reduce while consuming, so an iterator's unreduced matrices are freed one by one
+        diffs = tuple(d if base is None else d.mod(base) for d in differentials)
         if len(diffs) != max(len(ranks) - 1, 0):
             raise ValueError("need exactly one differential per adjacent pair of degrees")
-        if base is not None:
-            if not _is_prime(base):
-                raise ValueError(f"base must be a prime or None, got {base}")
-            diffs = tuple(d.mod(base) for d in diffs)
         for n, d in enumerate(diffs):
             if d.shape != (ranks[n + 1], ranks[n]):
                 raise ValueError(f"differential {n} has shape {d.shape}, "

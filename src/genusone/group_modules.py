@@ -99,9 +99,11 @@ class GroupModule:
     """A module for the standard generators, over Z (base None) or F_p.
 
     ``actions`` maps generator names ("S", "U", "-I") to square matrices of
-    size ``rank``.  Action matrices must be invertible over the base, and
-    whenever all three standard names are present the defining relations
-    S^4 = I, U^6 = I, S^2 = U^3 = -I are checked.
+    size ``rank``.  Action matrices must be invertible over the base.  When
+    all three standard names are present the defining relations
+    S^2 = U^3 = -I and (-I)^2 = I are checked; they imply S^4 = U^6 = I and
+    give the inverses S^3, U^5 and -I, so only generators outside those
+    relations need the determinant test.
     """
 
     rank: int
@@ -115,24 +117,32 @@ class GroupModule:
         for gen, mat in self.actions.items():
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
+        invertible = set()
+        if {"S", "U", "-I"} <= set(self.actions):
+            self._check_relations()
+            invertible = {"S", "U", "-I"}
+        for gen, mat in self.actions.items():
+            if gen in invertible:
+                continue
             det = mat.det()
             if self.base is None:
                 if abs(det) != 1:
                     raise ValueError(f"action of {gen} is not invertible over Z")
             elif det % self.base == 0:
                 raise ValueError(f"action of {gen} is singular mod {self.base}")
-        if {"S", "U", "-I"} <= set(self.actions):
-            self._check_relations()
 
     def _check_relations(self):
         s, u, mi = self.actions["S"], self.actions["U"], self.actions["-I"]
+
+        def mul(a, b):
+            prod = a * b
+            return prod if self.base is None else prod.mod(self.base)
+
         eye = IntegerMatrix.identity(self.rank)
-        pairs = [(s ** 4, eye), (u ** 6, eye), (s ** 2, mi), (u ** 3, mi)]
-        for got, want in pairs:
-            if self.base is not None:
-                got, want = got.mod(self.base), want.mod(self.base)
-            if got != want:
-                raise ValueError("generator relations fail on this module")
+        minus = mi if self.base is None else mi.mod(self.base)
+        pairs = [(mul(s, s), minus), (mul(mul(u, u), u), minus), (mul(mi, mi), eye)]
+        if any(got != want for got, want in pairs):
+            raise ValueError("generator relations fail on this module")
 
     def action(self, gen: str) -> IntegerMatrix:
         if gen not in self.actions:
@@ -143,6 +153,8 @@ class GroupModule:
         """The same module with coefficients reduced mod a prime."""
         if self.base is not None:
             raise ValueError("module is already over a prime field")
+        if not _is_prime(p):
+            raise ValueError(f"can only reduce modulo a prime, got {p}")
         return GroupModule(self.rank,
                            {g: m.mod(p) for g, m in self.actions.items()},
                            base=p, name=f"{self.name} mod {p}")

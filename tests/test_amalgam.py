@@ -1,7 +1,7 @@
 import pytest
 
-from genusone.amalgam import (build_total_complex, sl2z_cohomology,
-                              sl2z_cohomology_module)
+from genusone.amalgam import (_sym_cohomology, build_total_complex,
+                              sl2z_cohomology, sl2z_cohomology_module)
 from genusone.exact_linalg import FgAbelianGroup, cohomology_at
 from genusone.group_modules import standard_coefficient_module
 
@@ -70,10 +70,32 @@ def test_odd_weight_h1_is_torsion(k):
 
 
 def test_periodicity_above_degree_one():
-    # degrees >= 2 repeat with period 2 once past the free part
-    for k in range(7):
+    # D_n == D_{n+2} for n >= 1, so degrees >= 2 repeat with period 2; the
+    # complexes are built long because sl2z_cohomology folds p >= 4
+    for k in range(9):
+        cpx = build_total_complex(standard_coefficient_module("sym_k", k), 9).complex
+        for n in range(1, 7):
+            assert cpx.differential(n) == cpx.differential(n + 2), (k, n)
         for p in (2, 3):
-            assert sl2z_cohomology(k, p) == sl2z_cohomology(k, p + 2), (k, p)
+            assert cohomology_at(cpx, p) == cohomology_at(cpx, p + 2), (k, p)
+
+
+@pytest.mark.parametrize("modulus", [None, 2])
+def test_folded_degrees_match_explicit_complexes(modulus):
+    for k in (3, 4, 7):
+        module = standard_coefficient_module("sym_k", k)
+        if modulus is not None:
+            module = module.reduce(modulus)
+        for p in range(4, 8):
+            explicit = cohomology_at(build_total_complex(module, p + 2).complex, p)
+            assert sl2z_cohomology(k, p, modulus=modulus) == explicit, (k, p)
+
+
+def test_bad_inversion_is_rejected_before_computing():
+    before = _sym_cohomology.cache_info().misses
+    with pytest.raises(ValueError, match="can only invert"):
+        sl2z_cohomology(30, 2, invert=(1,))
+    assert _sym_cohomology.cache_info().misses == before
 
 
 def test_mod_p_values():

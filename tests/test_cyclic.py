@@ -14,6 +14,21 @@ def test_rejects_wrong_order():
         CyclicAction(3, IntegerMatrix([[-1]]))
 
 
+def test_cached_powers_are_reduced_and_periodic():
+    u = IntegerMatrix([[0, -1], [1, 1]])
+    for base in (None, 2, 5):
+        act = CyclicAction(6, u, base=base)
+        for i in range(13):
+            want = u ** i if base is None else (u ** i).mod(base)
+            assert act.power(i) == want, (base, i)
+        total = IntegerMatrix.zeros(2, 2)
+        for i in range(6):
+            total = total + u ** i
+        assert act.norm() == (total if base is None else total.mod(base))
+    with pytest.raises(ValueError):
+        CyclicAction(2, u, base=5)
+
+
 def test_trivial_module_values():
     # H^0 = Z, H^odd = 0, H^even = Z/m for trivial coefficients
     for m in (2, 3, 4, 6):

@@ -28,6 +28,42 @@ def test_matrix_basics():
     assert a.mod(2).to_lists() == [[1, 0], [1, 0]]
 
 
+def _naive_product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def test_product_matches_triple_loop():
+    rng = random.Random(11)
+    big = 2 ** 200
+    pools = ([0, 0, 0, 1, -1], [-1, 0, 1], [0, 0, big - 1, -big, 3 * big + 7])
+    for pool in pools:
+        for _ in range(20):
+            n, m, k = (rng.randint(1, 7) for _ in range(3))
+            a = IntegerMatrix([[rng.choice(pool) for _ in range(m)] for _ in range(n)])
+            b = IntegerMatrix([[rng.choice(pool) for _ in range(k)] for _ in range(m)])
+            assert (a * b).to_lists() == _naive_product(a, b)
+    for n, m in ((0, 3), (3, 0), (0, 0)):
+        a = IntegerMatrix.zeros(n, m)
+        b = IntegerMatrix.zeros(m, 2)
+        assert (a * b).shape == (n, 2)
+        assert (a * b).to_lists() == _naive_product(a, b)
+        c = IntegerMatrix.zeros(2, n)
+        assert (c * a).shape == (2, m) and (c * a).is_zero()
+    with pytest.raises(ValueError):
+        IntegerMatrix.zeros(2, 3) * IntegerMatrix.zeros(2, 3)
+
+
+def test_powers_match_repeated_products():
+    rng = random.Random(5)
+    for size in (1, 2, 4):
+        a = random_matrix(rng, size, size, bound=3)
+        want = IntegerMatrix.identity(size)
+        for k in range(8):
+            assert a ** k == want, (size, k)
+            want = want * a
+
+
 def test_snf_certificate_random():
     rng = random.Random(0)
     for _ in range(40):

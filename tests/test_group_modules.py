@@ -22,6 +22,29 @@ def test_generator_relations():
 def test_generator_validation():
     with pytest.raises(ValueError):
         GroupModule(2, {"S": U_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY})
+    one, minus = IntegerMatrix([[1]]), IntegerMatrix([[-1]])
+    # S^2 = I != -I, while U^3 = -I and (-I)^2 = I hold
+    with pytest.raises(ValueError, match="relations"):
+        GroupModule(1, {"S": one, "U": minus, "-I": minus})
+    # S^2 = U^3 = -I hold, but (-I)^2 = 4096 != I
+    with pytest.raises(ValueError, match="relations"):
+        GroupModule(1, {"S": IntegerMatrix([[8]]), "U": IntegerMatrix([[4]]),
+                        "-I": IntegerMatrix([[64]])})
+    with pytest.raises(ValueError, match="relations"):
+        GroupModule(1, {"S": one, "U": minus, "-I": minus}, base=3)
+
+
+def test_determinant_test_without_all_three_generators():
+    two = IntegerMatrix([[2]])
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        GroupModule(1, {"S": two, "U": IntegerMatrix([[1]])})
+    with pytest.raises(ValueError, match="singular mod 2"):
+        GroupModule(1, {"S": two}, base=2)
+    # a generator beyond the three related ones is still tested
+    with pytest.raises(ValueError, match="action of T"):
+        GroupModule(2, {"S": S_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY,
+                        "T": IntegerMatrix([[1, 0], [0, 2]])})
+    assert GroupModule(1, {"S": IntegerMatrix([[-1]])}).rank == 1
 
 
 def test_sym_power_is_multiplicative():
@@ -70,3 +93,9 @@ def test_module_reduction():
     assert red.base == 3
     assert red.rank == sym2.rank
     assert red.action("S") == sym2.action("S").mod(3)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_reduction_rejects_non_prime(p):
+    with pytest.raises(ValueError, match="can only reduce modulo a prime"):
+        standard_coefficient_module("sym_k", k=1).reduce(p)
