@@ -7,26 +7,45 @@ spaces are infinite, so nothing is tabulated.  The polynomial identities
 cup-product primitive) are certified by exact evaluation on seeded
 pseudo-random tuples: enough points in a fixed box to exceed the
 interpolation bound at each tested degree.
+
+The arithmetic stays in integers until the last step.  A linear form
+keeps its coefficients over one common denominator, so evaluating it is
+an integer dot product.  The alternating map tabulates the integer
+numerators phi_i(v_j) once, takes their alternating sum over
+permutations, and divides once, by k! times the product of the
+denominators.  Every value still comes back as an exact ``Fraction``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class DualVector:
-    """A linear form on the lattice, given by its coefficient vector."""
+    """A linear form on the lattice, given by its coefficient vector.
+
+    The coefficients are also kept as integer ``numerators`` over their
+    least common ``denominator``.
+    """
 
     coefficients: tuple
+    denominator: int = field(repr=False, compare=False)
+    numerators: tuple = field(repr=False, compare=False)
 
     def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in coefficients))
+        coefficients = tuple(Fraction(c) for c in coefficients)
+        denominator = math.lcm(*(c.denominator for c in coefficients))
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "numerators", tuple(
+            c.numerator * (denominator // c.denominator) for c in coefficients))
 
     @property
     def rank(self) -> int:
@@ -35,8 +54,11 @@ class DualVector:
     def __call__(self, vector) -> Fraction:
         if len(vector) != self.rank:
             raise ValueError(f"expected a vector of length {self.rank}")
-        return sum((c * int(v) for c, v in zip(self.coefficients, vector)),
-                   Fraction(0))
+        return Fraction(self.numerator(map(int, vector)), self.denominator)
+
+    def numerator(self, vector) -> int:
+        """denominator * phi(vector), for ints of the right length."""
+        return sum(map(operator.mul, self.numerators, vector))
 
 
 @dataclass(frozen=True)
@@ -54,7 +76,7 @@ class Cochain:
         for v in vectors:
             if len(v) != self.rank:
                 raise ValueError(f"lattice vectors have length {self.rank}")
-            clean.append(tuple(int(x) for x in v))
+            clean.append(tuple(map(int, v)))
         return Fraction(self.evaluator(*clean))
 
 
@@ -75,10 +97,14 @@ def cochain_differential(f: Cochain) -> Cochain:
     return Cochain(n + 1, f.rank, df)
 
 
-def _perm_sign(perm) -> int:
-    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
-                     if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple:
+    out = []
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(1 for i, j in itertools.combinations(range(k), 2)
+                         if perm[i] > perm[j])
+        out.append((-1 if inversions % 2 else 1, perm))
+    return tuple(out)
 
 
 def splitting_map(phis) -> Cochain:
@@ -92,16 +118,19 @@ def splitting_map(phis) -> Cochain:
     k = len(phis)
     if k > rank:
         raise ValueError(f"arity {k} exceeds lattice rank {rank}")
-    scale = Fraction(1, math.factorial(k))
+    perms = _signed_permutations(k)
+    denominator = math.factorial(k) * math.prod(phi.denominator for phi in phis)
 
     def evaluate(*vectors):
-        total = Fraction(0)
-        for perm in itertools.permutations(range(k)):
-            term = Fraction(_perm_sign(perm))
-            for i, phi in enumerate(phis):
-                term *= phi(vectors[perm[i]])
+        # table[i][j] = den_i * phi_i(v_j); the alternating sum is an integer
+        table = [[phi.numerator(v) for v in vectors] for phi in phis]
+        total = 0
+        for sign, perm in perms:
+            term = sign
+            for row, j in zip(table, perm):
+                term *= row[j]
             total += term
-        return scale * total
+        return Fraction(total, denominator)
 
     return Cochain(k, rank, evaluate)
 
@@ -110,7 +139,9 @@ def cup(phi1: DualVector, phi2: DualVector) -> Cochain:
     """The naive product cochain (l1, l2) -> phi1(l1) * phi2(l2)."""
     if phi1.rank != phi2.rank:
         raise ValueError("linear forms must share one lattice rank")
-    return Cochain(2, phi1.rank, lambda v1, v2: phi1(v1) * phi2(v2))
+    denominator = phi1.denominator * phi2.denominator
+    return Cochain(2, phi1.rank, lambda v1, v2: Fraction(
+        phi1.numerator(v1) * phi2.numerator(v2), denominator))
 
 
 @dataclass(frozen=True)
@@ -155,8 +186,9 @@ def verify_cup_primitive(phi1: DualVector, phi2: DualVector,
         raise ValueError("need lattice rank at least 2")
     naive = cup(phi1, phi2)
     straightened = splitting_map([phi1, phi2])
-    primitive = Cochain(1, phi1.rank,
-                        lambda v: Fraction(-1, 2) * phi1(v) * phi2(v))
+    denominator = -2 * phi1.denominator * phi2.denominator
+    primitive = Cochain(1, phi1.rank, lambda v: Fraction(
+        phi1.numerator(v) * phi2.numerator(v), denominator))
     boundary = cochain_differential(primitive)
     rng = random.Random(seed)
     for trial in range(samples):

@@ -81,15 +81,13 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
         raise ValueError("g must be invertible over Z")
     a, b = g[0][0], g[1][0]  # image of e1
     c, d = g[0][1], g[1][1]  # image of e2
-    cols = []
-    for i in range(k + 1):
-        # (a e1 + b e2)^(k-i) * (c e1 + d e2)^i, coefficients by e2-degree
-        poly = [1]
-        for _ in range(k - i):
-            poly = _poly_mul(poly, [a, b])
-        for _ in range(i):
-            poly = _poly_mul(poly, [c, d])
-        cols.append(poly)
+    # powers (a e1 + b e2)^i and (c e1 + d e2)^i for i = 0..k, coefficients
+    # by e2-degree; column i is (a e1 + b e2)^(k-i) * (c e1 + d e2)^i
+    first, second = [[1]], [[1]]
+    for _ in range(k):
+        first.append(_poly_mul(first[-1], [a, b]))
+        second.append(_poly_mul(second[-1], [c, d]))
+    cols = [_poly_mul(first[k - i], second[i]) for i in range(k + 1)]
     return IntegerMatrix([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)],
                          cols=k + 1)
 

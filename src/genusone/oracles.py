@@ -6,6 +6,10 @@ come from a sparse gcd diagonalization, small invariant factors from
 determinantal divisors, rational ranks from fraction elimination, and
 cyclic-group cohomology from a truncated bar complex.  The verification
 suites assert agreement between these routes and the production ones.
+
+The bar complex stays sparse end to end: each differential is built as
+sparse rows {i: {j: v}}, and its F_p rank and elementary divisors are
+read from those rows, with no dense matrix in between.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ def sparse_diagonal(m: IntegerMatrix) -> list:
     classical gcd reduction.  Returned values are the nonzero diagonal
     entries of a Smith form, ascending.
     """
-    rows = _sparse_rows(m)
+    return _sparse_rows_diagonal(_sparse_rows(m))
+
+
+def _sparse_rows_diagonal(rows: dict) -> list:
+    """``sparse_diagonal`` on sparse rows {i: {j: v}}, which it consumes."""
     cols = {}
     for i, entries in rows.items():
         for j in entries:
@@ -176,16 +184,18 @@ def determinantal_invariant_factors(m: IntegerMatrix) -> list:
 # truncated bar complex for a finite cyclic group
 
 
-def _bar_differential(order: int, powers: list, n: int, base=None) -> IntegerMatrix:
-    """Matrix of d: C^n -> C^(n+1) for the inhomogeneous bar cochains.
+def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
+    """Sparse rows {i: {j: v}} of d: C^n -> C^(n+1) for the inhomogeneous
+    bar cochains, with entries reduced mod ``base`` when it is given.
 
     C^n is the space of maps G^n -> M, flattened with the tuple index
     major and the coordinate index minor.
     """
     r = powers[0].rows
-    n_cols = order ** n * r
-    n_rows = order ** (n + 1) * r
-    entries = {}
+    blocks = [[(i, j, v) for i, row in enumerate(p.to_lists())
+               for j, v in enumerate(row) if v] for p in powers]
+    identity = [(c, c, 1) for c in range(r)]
+    rows = {}
 
     def tuple_index(tup):
         idx = 0
@@ -193,35 +203,24 @@ def _bar_differential(order: int, powers: list, n: int, base=None) -> IntegerMat
             idx = idx * order + t
         return idx
 
-    def add_block(row_tup, col_tup, sign, matrix=None):
+    def add_block(row_tup, col_tup, sign, entries=identity):
         base_r = tuple_index(row_tup) * r
         base_c = tuple_index(col_tup) * r
-        if matrix is None:
-            for c in range(r):
-                key = (base_r + c, base_c + c)
-                entries[key] = entries.get(key, 0) + sign
-        else:
-            data = matrix.to_lists()
-            for i in range(r):
-                for j in range(r):
-                    if data[i][j]:
-                        key = (base_r + i, base_c + j)
-                        entries[key] = entries.get(key, 0) + sign * data[i][j]
+        for i, j, v in entries:
+            row = rows.setdefault(base_r + i, {})
+            row[base_c + j] = row.get(base_c + j, 0) + sign * v
 
     for tup in itertools.product(range(order), repeat=n + 1):
-        add_block(tup, tup[1:], 1, powers[tup[0]])
+        add_block(tup, tup[1:], 1, blocks[tup[0]])
         for i in range(n):
             merged = tup[:i] + ((tup[i] + tup[i + 1]) % order,) + tup[i + 2:]
             add_block(tup, merged, -1 if (i + 1) % 2 else 1)
         add_block(tup, tup[:-1], -1 if (n + 1) % 2 else 1)
 
-    rows = [[0] * n_cols for _ in range(n_rows)]
-    for (i, j), v in entries.items():
-        if base is not None:
-            v %= base
-        if v:
-            rows[i][j] = v
-    return IntegerMatrix(rows, cols=n_cols)
+    if base is not None:
+        rows = {i: {j: v % base for j, v in e.items()} for i, e in rows.items()}
+    rows = {i: {j: v for j, v in e.items() if v} for i, e in rows.items()}
+    return {i: e for i, e in rows.items() if e}
 
 
 def bar_cohomology(action: CyclicAction, n: int, base=None) -> FgAbelianGroup:
@@ -246,10 +245,7 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> FgAbelianGroup:
         powers = [p.mod(base) for p in powers]
     r = action.rank
     d_out = _bar_differential(m, powers, n, base=base)
-    if base is not None:
-        rank_out = _mod_rank_sparse(d_out, base)
-    else:
-        rank_out = _mod_rank_sparse(d_out, _coprime_prime(m))
+    rank_out = _mod_rank_sparse(d_out, _coprime_prime(m) if base is None else base)
     nullity = m ** n * r - rank_out
     if n == 0:
         if base is not None:
@@ -259,7 +255,7 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> FgAbelianGroup:
     if base is not None:
         rank_in = _mod_rank_sparse(d_in, base)
         return FgAbelianGroup(0, [base] * (nullity - rank_in))
-    diag = sparse_diagonal(d_in)
+    diag = _sparse_rows_diagonal(d_in)
     return FgAbelianGroup(nullity - len(diag), [d for d in diag if d > 1])
 
 
@@ -270,11 +266,12 @@ def _coprime_prime(m: int) -> int:
     return p
 
 
-def _mod_rank_sparse(m: IntegerMatrix, p: int) -> int:
+def _mod_rank_sparse(sparse_rows: dict, p: int) -> int:
+    """Rank over F_p of the matrix with sparse rows {i: {j: v}}."""
     rows = {}
     cols = {}
-    for i, row in enumerate(m.to_lists()):
-        entries = {j: v % p for j, v in enumerate(row) if v % p}
+    for i, row in sparse_rows.items():
+        entries = {j: v % p for j, v in row.items() if v % p}
         if entries:
             rows[i] = entries
             for j in entries:

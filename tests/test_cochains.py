@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from genusone import cochains
 from genusone.cochains import (Cochain, DualVector, cochain_differential, cup,
                                splitting_map, verify_cup_primitive,
                                verify_d_after_a)
@@ -67,6 +70,99 @@ def test_splitting_map_basis_normalization():
     e = duals(3)
     a3 = splitting_map(e)
     assert a3((1, 0, 0), (0, 1, 0), (0, 0, 1)) == Fraction(1, 6)
+
+
+def test_dual_vector_keeps_integer_numerators():
+    phi = DualVector([Fraction(1, 2), Fraction(-2, 3), 5])
+    assert phi.coefficients == (Fraction(1, 2), Fraction(-2, 3), Fraction(5))
+    assert phi.denominator == 6
+    assert phi.numerators == (3, -4, 30)
+    value = phi((1, 1, 1))
+    assert type(value) is Fraction
+    assert value == Fraction(29, 6)
+    assert phi == DualVector([Fraction(3, 6), Fraction(-4, 6), 5])
+
+
+def _reference_splitting(phis, vectors):
+    # sum over permutations of sign * prod phi_i(v_perm(i)), over k!, in Fractions
+    k = len(phis)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2))
+        term = Fraction((-1) ** inversions)
+        for i, phi in enumerate(phis):
+            term *= sum(c * v for c, v in zip(phi.coefficients, vectors[perm[i]]))
+        total += term
+    return total / math.factorial(k)
+
+
+def test_splitting_map_with_fractional_forms():
+    rng = random.Random(6)
+    coefficient_pool = [Fraction(1, 2), Fraction(-2, 3), Fraction(5),
+                        Fraction(7, 4), Fraction(0), Fraction(-1, 5)]
+    for k in (1, 2, 3):
+        for _ in range(10):
+            phis = [DualVector(rng.choice(coefficient_pool) for _ in range(3))
+                    for _ in range(k)]
+            a = splitting_map(phis)
+            for _ in range(5):
+                vecs = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(k)]
+                value = a(*vecs)
+                assert type(value) is Fraction
+                assert value == _reference_splitting(phis, vecs), (k, phis, vecs)
+    half_forms = [DualVector([Fraction(1, 2), Fraction(-2, 3), 5]),
+                  DualVector([Fraction(1, 3), 1, Fraction(-1, 2)])]
+    assert splitting_map(half_forms)((1, 0, 0), (0, 1, 0)) == Fraction(1, 2) * (
+        Fraction(1, 2) * 1 - Fraction(-2, 3) * Fraction(1, 3))
+
+
+def _sign_flipped_splitting_map(phis):
+    # the alternating average with the identity permutation's sign flipped
+    phis = tuple(phis)
+    k = len(phis)
+
+    def evaluate(*vectors):
+        correct = _reference_splitting(phis, vectors)
+        identity = math.prod(phi(v) for phi, v in zip(phis, vectors))
+        return correct - 2 * identity / math.factorial(k)
+
+    return Cochain(k, phis[0].rank, evaluate)
+
+
+def _off_by_one(make):
+    def wrong(*args):
+        right = make(*args)
+        return Cochain(right.arity, right.rank,
+                       lambda *vectors: right.evaluator(*vectors) + 1)
+    return wrong
+
+
+def test_cup_primitive_check_catches_a_sign_error(monkeypatch):
+    e1, e2 = duals(2)
+    assert verify_cup_primitive(e1, e2, samples=50, seed=3).passed
+    monkeypatch.setattr(cochains, "splitting_map", _sign_flipped_splitting_map)
+    report = verify_cup_primitive(e1, e2, samples=50, seed=3)
+    assert not report.passed
+    # every multilinear map is a cocycle, so d(a^k) = 0 cannot see a sign
+    # error; the cup primitive is the check that pins the alternation
+    assert verify_d_after_a(2, 2, samples=50, seed=3).passed
+
+
+def test_cup_primitive_check_catches_an_off_by_one_cup(monkeypatch):
+    e1, e2 = duals(3)[:2]
+    monkeypatch.setattr(cochains, "cup", _off_by_one(cup))
+    report = verify_cup_primitive(e1, e2, samples=50, seed=3)
+    assert not report.passed
+    assert report.samples == 1
+
+
+def test_d_after_a_check_catches_an_off_by_one_map(monkeypatch):
+    # d of a constant c of odd arity n is c, so k = 1 and k = 3 must fail
+    monkeypatch.setattr(cochains, "splitting_map", _off_by_one(splitting_map))
+    for k, d in ((1, 1), (1, 3), (3, 3)):
+        report = verify_d_after_a(k, d, samples=50, seed=3)
+        assert not report.passed, (k, d)
+        assert report.failure[2] == 1
 
 
 def test_splitting_map_is_alternating_in_the_forms():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -55,6 +56,35 @@ def test_sym_power_is_multiplicative():
             a, b = rng.choice(mats), rng.choice(mats)
             assert (sym_power_matrix(a, k) * sym_power_matrix(b, k)
                     == sym_power_matrix(a * b, k))
+
+
+def _random_word(rng, length):
+    letters = [S_MATRIX, U_MATRIX, T_MATRIX, IntegerMatrix([[1, -1], [0, 1]])]
+    g = IntegerMatrix.identity(2)
+    for _ in range(length):
+        g = g * rng.choice(letters)
+    return g
+
+
+def test_sym_power_is_functorial_on_words():
+    rng = random.Random(4)
+    for k in range(13):
+        for _ in range(4):
+            g, h = _random_word(rng, rng.randint(1, 8)), _random_word(rng, rng.randint(1, 8))
+            assert sym_power_matrix(g * h, k) == sym_power_matrix(g, k) * sym_power_matrix(h, k)
+
+
+def test_sym_power_matches_binomial_expansion():
+    # entry (i, j): the e2^i coefficient of (a e1 + b e2)^(k-j) (c e1 + d e2)^j
+    rng = random.Random(5)
+    for k in range(13):
+        g = _random_word(rng, 6)
+        (a, c), (b, d) = g.to_lists()
+        want = [[sum(math.comb(k - j, r) * a ** (k - j - r) * b ** r
+                     * math.comb(j, i - r) * c ** (j - i + r) * d ** (i - r)
+                     for r in range(max(0, i - j), min(i, k - j) + 1))
+                 for j in range(k + 1)] for i in range(k + 1)]
+        assert sym_power_matrix(g, k).to_lists() == want
 
 
 def test_sym_power_low_degrees():

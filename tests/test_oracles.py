@@ -7,7 +7,9 @@ from genusone.cyclic import cyclic_cohomology
 from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
 from genusone.group_modules import standard_coefficient_module
-from genusone.oracles import (bar_cohomology, determinantal_invariant_factors,
+from genusone.oracles import (_bar_differential, _sparse_rows,
+                              _sparse_rows_diagonal, bar_cohomology,
+                              determinantal_invariant_factors,
                               random_cyclic_action, random_known_complex,
                               rational_rank, sparse_diagonal)
 
@@ -22,6 +24,13 @@ def test_sparse_diagonal_agrees_with_snf():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert sparse_diagonal(m) == snf_diagonal(m)
+
+
+def test_sparse_diagonal_is_the_rows_helper():
+    rng = random.Random(19)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), bound=2)
+        assert sparse_diagonal(m) == _sparse_rows_diagonal(_sparse_rows(m))
 
 
 def test_rational_rank_agrees_with_snf():
@@ -53,6 +62,31 @@ def test_bar_matches_periodic_resolution():
             for n in range(4):
                 assert bar_cohomology(act, n) == cyclic_cohomology(act, n), \
                     (order, n)
+
+
+@pytest.mark.parametrize("base", [None, 2])
+def test_bar_differential_squares_to_zero(base):
+    # d_{n+1} d_n = 0 on the sparse rows, over Z or modulo base
+    rng = random.Random(20)
+    terms = 0
+    for order in (2, 3, 4, 6):
+        for _ in range(2):
+            act = random_cyclic_action(rng, order)
+            powers = [act.power(i) for i in range(order)]
+            if base is not None:
+                powers = [p.mod(base) for p in powers]
+            for n in range(3):
+                inner = _bar_differential(order, powers, n, base)
+                outer = _bar_differential(order, powers, n + 1, base)
+                for i, row in outer.items():
+                    product = {}
+                    for j, v in row.items():
+                        for col, w in inner.get(j, {}).items():
+                            product[col] = product.get(col, 0) + v * w
+                            terms += 1
+                    assert all(x % base == 0 if base else x == 0
+                               for x in product.values()), (order, n, i)
+    assert terms > 1000
 
 
 def test_bar_mod_p():
