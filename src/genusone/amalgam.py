@@ -105,10 +105,7 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
 
 @lru_cache(maxsize=None)
 def _sym_complex(k: int, modulus: int | None) -> AmalgamComplex:
-    module = standard_coefficient_module("sym_k", k)
-    if modulus is not None:
-        module = module.reduce(modulus)
-    return build_total_complex(module, 4)
+    return build_total_complex(standard_coefficient_module("sym_k", k, base=modulus), 4)
 
 
 @lru_cache(maxsize=None)

@@ -114,10 +114,3 @@ def restriction_cochain_matrix(action: CyclicAction, d: int, n: int) -> IntegerM
     if n % 2 == 0:
         return IntegerMatrix.identity(action.rank)
     return action.partial_norm(d)
-
-
-def subgroup_action(action: CyclicAction, d: int) -> CyclicAction:
-    """The induced action of the index-d subgroup, generated by g^d."""
-    if d < 1 or action.order % d:
-        raise ValueError(f"{d} does not divide the group order {action.order}")
-    return CyclicAction(action.order // d, action.power(d), base=action.base)

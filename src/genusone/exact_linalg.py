@@ -578,24 +578,15 @@ class FgAbelianGroup:
             orders.extend(g.invariant_factors)
         return FgAbelianGroup(rank, orders)
 
-    def primary_factors(self) -> list[int]:
-        """The invariant factors split into prime powers, sorted by prime."""
-        out = []
-        for f in self.invariant_factors:
-            out.extend(q ** e for q, e in sorted(_factor(f).items()))
-        out.sort(key=lambda pe: (min(_factor(pe)), -pe))
-        return out
-
     # -- presentation --------------------------------------------------------
 
-    def render(self, free_symbol: str = "Z", primary: bool = False) -> str:
+    def render(self, free_symbol: str = "Z") -> str:
         parts = []
         if self.free_rank == 1:
             parts.append(free_symbol)
         elif self.free_rank > 1:
             parts.append(f"{free_symbol}^{self.free_rank}")
-        factors = self.primary_factors() if primary else self.invariant_factors
-        parts.extend(f"Z/{f}" for f in factors)
+        parts.extend(f"Z/{f}" for f in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
     def __str__(self):

@@ -166,21 +166,32 @@ def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
             sym_power_matrix(gens.minus_i, k))
 
 
-def standard_coefficient_module(name: str, k: int | None = None) -> GroupModule:
+def standard_coefficient_module(name: str, k: int | None = None,
+                                base: int | None = None) -> GroupModule:
     """The coefficient systems used throughout: "sym_k", "f2_squared", "trivial_Z".
 
-    "sym_k" needs the symmetric-power degree k; "f2_squared" is the rank-2
-    mod-2 reduction of the standard module; "trivial_Z" is Z with every
-    generator acting as the identity.
+    "sym_k" needs the symmetric-power degree k.  With a prime ``base`` it
+    is Sym^k mod base, named "sym_{k} mod {base}" as ``reduce`` would
+    name it, but built straight from the integral matrices taken mod
+    base, so only the reduced relations are checked.  "f2_squared" is the
+    rank-2 mod-2 reduction of the standard module; "trivial_Z" is Z with
+    every generator acting as the identity.
     """
+    if base is not None and name != "sym_k":
+        raise ValueError(f"module {name!r} takes no base")
     if name == "trivial_Z":
         one = IntegerMatrix([[1]])
         return GroupModule(1, {"S": one, "U": one, "-I": one}, name="trivial_Z")
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
-        s, u, mi = _sym_actions(k)
-        return GroupModule(k + 1, {"S": s, "U": u, "-I": mi}, name=f"sym_{k}")
+        actions = dict(zip(("S", "U", "-I"), _sym_actions(k)))
+        if base is None:
+            return GroupModule(k + 1, actions, name=f"sym_{k}")
+        if not _is_prime(base):
+            raise ValueError(f"can only reduce modulo a prime, got {base}")
+        return GroupModule(k + 1, {g: m.mod(base) for g, m in actions.items()},
+                           base=base, name=f"sym_{k} mod {base}")
     if name == "f2_squared":
-        return standard_coefficient_module("sym_k", 1).reduce(2)
+        return standard_coefficient_module("sym_k", 1, base=2)
     raise ValueError(f"unknown coefficient module {name!r}")

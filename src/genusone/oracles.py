@@ -7,9 +7,11 @@ determinantal divisors, rational ranks from fraction elimination, and
 cyclic-group cohomology from a truncated bar complex.  The verification
 suites assert agreement between these routes and the production ones.
 
-The bar complex stays sparse end to end: each differential is built as
-sparse rows {i: {j: v}}, and its F_p rank and elementary divisors are
-read from those rows, with no dense matrix in between.
+The bar complex is built on normalized cochains, as sparse rows
+{i: {j: v}}, and stays sparse end to end.  One elimination routine,
+``_sparse_rows_diagonal``, diagonalizes each of its differentials once;
+the rational rank, the F_p rank and the elementary divisors are all read
+from that diagonal, with no dense matrix in between.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .cyclic import CyclicAction
-from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime
+from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix
 
 
 def _sparse_rows(m: IntegerMatrix) -> dict:
@@ -36,9 +38,12 @@ def _sparse_rows(m: IntegerMatrix) -> dict:
 def sparse_diagonal(m: IntegerMatrix) -> list:
     """Elementary divisors of an integer matrix, by sparse elimination.
 
-    Unit pivots are consumed first, chosen to minimize fill-in; they
-    never grow coefficients, and on the bar complexes below they remove
-    almost everything.  Whatever dense residue is left gets the
+    Unit pivots are consumed first, in heap order: the shortest row
+    holding a +-1 entry, and within it the +-1 column with the fewest
+    entries.  They need no division, and on the bar complexes below
+    they remove almost everything.  When no unit entry is left, the
+    content (the gcd of the residue's entries) is divided out, which can
+    expose new units; a residue of content 1 without units gets the
     classical gcd reduction.  Returned values are the nonzero diagonal
     entries of a Smith form, ascending.
     """
@@ -51,29 +56,28 @@ def _sparse_rows_diagonal(rows: dict) -> list:
     for i, entries in rows.items():
         for j in entries:
             cols.setdefault(j, set()).add(i)
+    # (length, row) entries go stale when a row changes; a changed row is
+    # pushed again, and a stale entry is skipped when it is popped
+    heap = [(len(entries), i) for i, entries in rows.items()]
+    heapq.heapify(heap)
 
     ones = 0
-    while True:
-        best = None
-        for i, entries in rows.items():
-            weight_row = len(entries) - 1
-            for j, v in entries.items():
-                if v in (1, -1):
-                    fill = weight_row * (len(cols[j]) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        pivot = rows[pi][pj]
-        prow = rows.pop(pi)
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        units = [j for j, v in prow.items() if v in (1, -1)]
+        if not units:
+            continue
+        pj = min(units, key=lambda j: len(cols[j]))
+        pivot = prow[pj]
+        del rows[pi]
         for j in prow:
             cols[j].discard(pi)
         for i in list(cols[pj]):
             target = rows[i]
-            q = target[pj] // pivot
+            q = target[pj] * pivot
             for j, v in prow.items():
                 new = target.get(j, 0) - q * v
                 if new:
@@ -83,11 +87,22 @@ def _sparse_rows_diagonal(rows: dict) -> list:
                 elif j in target:
                     del target[j]
                     cols[j].discard(i)
-            if not target:
+            if target:
+                heapq.heappush(heap, (len(target), i))
+            else:
                 del rows[i]
         cols.pop(pj, None)
         ones += 1
 
+    content = 0
+    for entries in rows.values():
+        for v in entries.values():
+            content = math.gcd(content, v)
+    if content > 1:
+        # every divisor of the residue is a multiple of its content, and
+        # dividing the content out may expose new unit pivots
+        residue = {i: {j: v // content for j, v in e.items()} for i, e in rows.items()}
+        return sorted([1] * ones + [content * d for d in _sparse_rows_diagonal(residue)])
     live_rows = sorted(rows)
     live_cols = sorted({j for e in rows.values() for j in e})
     dense = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
@@ -132,10 +147,6 @@ def _dense_gcd_diagonal(a: list) -> list:
         out.append(abs(pivot))
         a = [row[1:] for row in a[1:]]
     return out
-
-
-def sparse_rank(m: IntegerMatrix) -> int:
-    return len(sparse_diagonal(m))
 
 
 def rational_rank(m: IntegerMatrix) -> int:
@@ -185,11 +196,14 @@ def determinantal_invariant_factors(m: IntegerMatrix) -> list:
 
 
 def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
-    """Sparse rows {i: {j: v}} of d: C^n -> C^(n+1) for the inhomogeneous
-    bar cochains, with entries reduced mod ``base`` when it is given.
+    """Sparse rows {i: {j: v}} of d: C^n -> C^(n+1) on the normalized bar
+    cochains, with entries reduced to symmetric residues mod ``base`` when
+    it is given.
 
-    C^n is the space of maps G^n -> M, flattened with the tuple index
-    major and the coordinate index minor.
+    A normalized n-cochain vanishes on every tuple with an identity entry,
+    so C^n is the space of maps (G - 1)^n -> M: tuples of elements 1..m-1,
+    flattened with the tuple index major (base m - 1) and the coordinate
+    index minor.  A merged term whose product is the identity is dropped.
     """
     r = powers[0].rows
     blocks = [[(i, j, v) for i, row in enumerate(p.to_lists())
@@ -200,7 +214,7 @@ def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
     def tuple_index(tup):
         idx = 0
         for t in tup:
-            idx = idx * order + t
+            idx = idx * (order - 1) + t - 1
         return idx
 
     def add_block(row_tup, col_tup, sign, entries=identity):
@@ -210,109 +224,60 @@ def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
             row = rows.setdefault(base_r + i, {})
             row[base_c + j] = row.get(base_c + j, 0) + sign * v
 
-    for tup in itertools.product(range(order), repeat=n + 1):
+    for tup in itertools.product(range(1, order), repeat=n + 1):
         add_block(tup, tup[1:], 1, blocks[tup[0]])
         for i in range(n):
-            merged = tup[:i] + ((tup[i] + tup[i + 1]) % order,) + tup[i + 2:]
-            add_block(tup, merged, -1 if (i + 1) % 2 else 1)
-        add_block(tup, tup[:-1], -1 if (n + 1) % 2 else 1)
+            product = (tup[i] + tup[i + 1]) % order
+            if product:
+                add_block(tup, tup[:i] + (product,) + tup[i + 2:],
+                          -1 if i % 2 == 0 else 1)
+        add_block(tup, tup[:-1], -1 if n % 2 == 0 else 1)
 
     if base is not None:
-        rows = {i: {j: v % base for j, v in e.items()} for i, e in rows.items()}
+        # symmetric residues, so that -1 stays a unit pivot
+        half = base // 2
+        rows = {i: {j: (v + half) % base - half for j, v in e.items()}
+                for i, e in rows.items()}
     rows = {i: {j: v for j, v in e.items() if v} for i, e in rows.items()}
     return {i: e for i, e in rows.items() if e}
 
 
-def bar_cohomology(action: CyclicAction, n: int, base=None) -> FgAbelianGroup:
-    """H^n of a cyclic group via the truncated bar complex.
+def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
+    """[H^0, ..., H^n] of a cyclic group via the normalized bar complex.
 
-    Free rank is nullity(d_n) - rank(d_{n-1}).  Torsion is read off the
-    elementary divisors of d_{n-1}: the quotient of the cochain space by
+    The normalized cochains form a subcomplex of the standard ones that
+    is chain homotopy equivalent to it over Z (Brown, *Cohomology of
+    Groups*, I.5), and C^i shrinks from m^i r to (m - 1)^i r coordinates.
+    Each d_i is built once and diagonalized once by
+    ``_sparse_rows_diagonal``; every rank is read from that diagonal.
+    Over Z the rank of d_i is the number of divisors, and the torsion of
+    H^(i+1) is the divisors above 1: the quotient of the cochain space by
     the coboundaries has the same torsion as the cohomology because the
-    kernel of d_n is saturated and contains the image.
-
-    The rational rank of d_n is computed modulo a prime coprime to the
-    group order.  That is exact: the cokernel torsion of a bar
-    differential is cohomology one degree up, which the transfer
-    argument annihilates by the group order, so no elementary divisor
-    has a prime factor outside the group order.
+    kernel of d_(i+1) is saturated and contains the image.  With ``base``
+    p the entries are reduced to symmetric residues mod p, and the F_p
+    rank of d_i is the number of divisors prime to p, since a Smith form
+    over Z reduces to one over F_p.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    m = action.order
+    m, r = action.order, action.rank
     powers = [action.power(i) for i in range(m)]
-    if base is not None:
-        powers = [p.mod(base) for p in powers]
-    r = action.rank
-    d_out = _bar_differential(m, powers, n, base=base)
-    rank_out = _mod_rank_sparse(d_out, _coprime_prime(m) if base is None else base)
-    nullity = m ** n * r - rank_out
-    if n == 0:
-        if base is not None:
-            return FgAbelianGroup(0, [base] * nullity)
-        return FgAbelianGroup(nullity, [])
-    d_in = _bar_differential(m, powers, n - 1, base=base)
-    if base is not None:
-        rank_in = _mod_rank_sparse(d_in, base)
-        return FgAbelianGroup(0, [base] * (nullity - rank_in))
-    diag = _sparse_rows_diagonal(d_in)
-    return FgAbelianGroup(nullity - len(diag), [d for d in diag if d > 1])
-
-
-def _coprime_prime(m: int) -> int:
-    p = 2
-    while not (_is_prime(p) and m % p):
-        p += 1
-    return p
-
-
-def _mod_rank_sparse(sparse_rows: dict, p: int) -> int:
-    """Rank over F_p of the matrix with sparse rows {i: {j: v}}."""
-    rows = {}
-    cols = {}
-    for i, row in sparse_rows.items():
-        entries = {j: v % p for j, v in row.items() if v % p}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
-    heap = [(len(entries), i) for i, entries in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while rows:
-        pi = None
-        while heap:
-            length, i = heapq.heappop(heap)
-            if i in rows and len(rows[i]) == length:
-                pi = i
-                break
-        if pi is None:
-            pi = next(iter(rows))
-        prow = rows.pop(pi)
-        pj = min(prow, key=lambda j: len(cols[j]))
-        for j in prow:
-            cols[j].discard(pi)
-        inv = pow(prow[pj], -1, p)
-        prow = {j: (v * inv) % p for j, v in prow.items()}
-        for i in list(cols[pj]):
-            target = rows[i]
-            f = target[pj]
-            for j, v in prow.items():
-                new = (target.get(j, 0) - f * v) % p
-                if new:
-                    if j not in target:
-                        cols.setdefault(j, set()).add(i)
-                    target[j] = new
-                elif j in target:
-                    del target[j]
-                    cols[j].discard(i)
-            if not target:
-                del rows[i]
-            else:
-                heapq.heappush(heap, (len(target), i))
-        cols.pop(pj, None)
-        rank += 1
-    return rank
+    groups = []
+    rank_in, torsion_in = 0, []
+    for i in range(n + 1):
+        diag = _sparse_rows_diagonal(_bar_differential(m, powers, i, base))
+        if base is None:
+            rank_out = len(diag)
+        else:
+            rank_out = sum(1 for d in diag if d % base)
+        free = (m - 1) ** i * r - rank_out - rank_in
+        if base is None:
+            groups.append(FgAbelianGroup(free, torsion_in))
+            torsion_in = [d for d in diag if d > 1]
+        else:
+            groups.append(FgAbelianGroup(0, [base] * free))
+        rank_in = rank_out
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import pytest
 
-from genusone.amalgam import (_sym_cohomology, build_total_complex,
+from genusone.amalgam import (_sym_cohomology, _sym_complex, build_total_complex,
                               sl2z_cohomology, sl2z_cohomology_module)
 from genusone.exact_linalg import FgAbelianGroup, cohomology_at
-from genusone.group_modules import standard_coefficient_module
+from genusone.group_modules import GroupModule, standard_coefficient_module
 
 Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup(0)
@@ -146,3 +146,42 @@ def test_total_complex_is_a_complex():
     assert cohomology_at(cpx, 1) == _t(2)
     with pytest.raises(ValueError):
         build_total_complex(mod, 0)
+
+
+def test_f_p_route_checks_only_the_reduced_module(monkeypatch):
+    # the F_p complex is built from Sym^k taken mod p, so the relations of
+    # the integral module are never checked on the way
+    bases = []
+    check = GroupModule._check_relations
+
+    def spy(self):
+        bases.append(self.base)
+        check(self)
+
+    monkeypatch.setattr(GroupModule, "_check_relations", spy)
+    _sym_complex.cache_clear()
+    _sym_cohomology.cache_clear()
+    sl2z_cohomology(10, 3, modulus=2)
+    assert bases == [2]
+    _sym_complex.cache_clear()
+    _sym_cohomology.cache_clear()
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_f_p_values_match_the_reduced_integral_module(modulus):
+    for k in range(13):
+        reduced = standard_coefficient_module("sym_k", k).reduce(modulus)
+        cpx = build_total_complex(reduced, 6).complex
+        for p in range(6):
+            assert sl2z_cohomology(k, p, modulus=modulus) == cohomology_at(cpx, p), (k, p)
+
+
+def test_transfer_bound_kills_higher_cohomology():
+    # the commutator subgroup of SL2(Z) is free of index 12, so cor o res
+    # = 12 kills H^p(SL2(Z), M) for p >= 2: no free part, and every
+    # invariant factor divides 12
+    for k in range(25):
+        for p in (2, 3):
+            group = sl2z_cohomology(k, p)
+            assert group.free_rank == 0, (k, p)
+            assert all(12 % f == 0 for f in group.invariant_factors), (k, p, group)

@@ -145,10 +145,9 @@ def test_group_normalization():
     assert FgAbelianGroup(0, [6, 4]).invariant_factors == (2, 12)
 
 
-def test_group_render_primary():
+def test_group_render():
     g = FgAbelianGroup(1, [12])
     assert g.render() == "Z + Z/12"
-    assert g.render(primary=True) == "Z + Z/4 + Z/3"
     assert g.render(free_symbol="Z[1/2]") == "Z[1/2] + Z/12"
 
 

@@ -125,6 +125,20 @@ def test_module_reduction():
     assert red.action("S") == sym2.action("S").mod(3)
 
 
+def test_sym_module_over_a_prime_field_is_the_reduction():
+    for k in (0, 1, 5):
+        for p in (2, 3, 5):
+            direct = standard_coefficient_module("sym_k", k, base=p)
+            reduced = standard_coefficient_module("sym_k", k).reduce(p)
+            assert direct == reduced
+            assert direct.name == reduced.name == f"sym_{k} mod {p}"
+    assert standard_coefficient_module("f2_squared").name == "sym_1 mod 2"
+    with pytest.raises(ValueError, match="can only reduce modulo a prime"):
+        standard_coefficient_module("sym_k", 2, base=4)
+    with pytest.raises(ValueError, match="takes no base"):
+        standard_coefficient_module("trivial_Z", base=2)
+
+
 @pytest.mark.parametrize("p", [0, 1, 4])
 def test_reduction_rejects_non_prime(p):
     with pytest.raises(ValueError, match="can only reduce modulo a prime"):

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from genusone.amalgam import build_total_complex
-from genusone.cyclic import cyclic_cohomology
+from genusone.cyclic import CyclicAction, cyclic_cohomology
 from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
 from genusone.group_modules import standard_coefficient_module
@@ -33,6 +34,35 @@ def test_sparse_diagonal_is_the_rows_helper():
         assert sparse_diagonal(m) == _sparse_rows_diagonal(_sparse_rows(m))
 
 
+def test_rows_diagonal_without_unit_entries():
+    # no +-1 anywhere: no unit pivot exists, the gcd residue does it all
+    rng = random.Random(21)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = IntegerMatrix([[rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9))
+                            for _ in range(cols)] for _ in range(rows)])
+        assert _sparse_rows_diagonal(_sparse_rows(m)) == [d for d in snf_diagonal(m) if d]
+
+
+def test_rows_diagonal_with_unit_fill_in():
+    # a dense unit row and column: the first unit pivot fills the whole
+    # block, changed rows go back on the heap, and later pivots must see
+    # the filled entries (including new +-1s and vanished ones)
+    rng = random.Random(22)
+    for _ in range(40):
+        rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+        data = [[rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(cols)]
+                for _ in range(rows)]
+        r, c = rng.randrange(rows), rng.randrange(cols)
+        for j in range(cols):
+            data[r][j] = rng.choice((1, -1, 2))
+        for i in range(rows):
+            data[i][c] = rng.choice((1, -1, 2))
+        data[r][c] = rng.choice((1, -1))
+        m = IntegerMatrix(data)
+        assert _sparse_rows_diagonal(_sparse_rows(m)) == [d for d in snf_diagonal(m) if d]
+
+
 def test_rational_rank_agrees_with_snf():
     rng = random.Random(12)
     for _ in range(40):
@@ -59,14 +89,16 @@ def test_bar_matches_periodic_resolution():
     for order in (2, 3, 4, 6):
         for _ in range(3):
             act = random_cyclic_action(rng, order)
+            groups = bar_cohomology(act, 3)
+            assert len(groups) == 4
             for n in range(4):
-                assert bar_cohomology(act, n) == cyclic_cohomology(act, n), \
-                    (order, n)
+                assert groups[n] == cyclic_cohomology(act, n), (order, n)
 
 
 @pytest.mark.parametrize("base", [None, 2])
 def test_bar_differential_squares_to_zero(base):
-    # d_{n+1} d_n = 0 on the sparse rows, over Z or modulo base
+    # d_{n+1} d_n = 0 on the normalized sparse rows, over Z or modulo
+    # base; d_n maps (m - 1)^n r coordinates to (m - 1)^(n + 1) r
     rng = random.Random(20)
     terms = 0
     for order in (2, 3, 4, 6):
@@ -78,6 +110,10 @@ def test_bar_differential_squares_to_zero(base):
             for n in range(3):
                 inner = _bar_differential(order, powers, n, base)
                 outer = _bar_differential(order, powers, n + 1, base)
+                width = (order - 1) ** n * act.rank
+                assert all(0 <= i < width * (order - 1) and
+                           all(0 <= j < width for j in row)
+                           for i, row in inner.items())
                 for i, row in outer.items():
                     product = {}
                     for j, v in row.items():
@@ -90,12 +126,66 @@ def test_bar_differential_squares_to_zero(base):
 
 
 def test_bar_mod_p():
-    from genusone.cyclic import CyclicAction
     rng = random.Random(15)
     act = random_cyclic_action(rng, 4)
     reduced = CyclicAction(act.order, act.gen, base=2)
-    for n in range(3):
-        assert bar_cohomology(act, n, base=2) == cyclic_cohomology(reduced, n)
+    assert bar_cohomology(act, 2, base=2) == [cyclic_cohomology(reduced, n)
+                                              for n in range(3)]
+
+
+def _full_bar_rows(order, powers, n):
+    # the standard (unnormalized) cochains: every tuple in G^n, base m
+    r = powers[0].rows
+    rows = {}
+
+    def add(row_tup, col_tup, sign, matrix):
+        base_r = sum(t * order ** e for e, t in enumerate(reversed(row_tup))) * r
+        base_c = sum(t * order ** e for e, t in enumerate(reversed(col_tup))) * r
+        for i in range(r):
+            for j in range(r):
+                if matrix[i][j]:
+                    row = rows.setdefault(base_r + i, {})
+                    row[base_c + j] = row.get(base_c + j, 0) + sign * matrix[i][j]
+
+    eye = powers[0].to_lists()
+    for tup in itertools.product(range(order), repeat=n + 1):
+        add(tup, tup[1:], 1, powers[tup[0]].to_lists())
+        for i in range(n):
+            merged = tup[:i] + ((tup[i] + tup[i + 1]) % order,) + tup[i + 2:]
+            add(tup, merged, (-1) ** (i + 1), eye)
+        add(tup, tup[:-1], (-1) ** (n + 1), eye)
+    return {i: {j: v for j, v in e.items() if v} for i, e in rows.items()}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 6])
+def test_normalized_bar_matches_unnormalized(order):
+    # the normalized cochains are a homotopy-equivalent subcomplex, so the
+    # full standard complex, with its m^n r coordinates, gives the same H^n
+    rng = random.Random(23 + order)
+    for _ in range(3):
+        act = random_cyclic_action(rng, order, max_rank=2)
+        powers = [act.power(i) for i in range(order)]
+        full = []
+        rank_in, torsion_in = 0, []
+        for n in range(3):
+            diag = _sparse_rows_diagonal(_full_bar_rows(order, powers, n))
+            free = order ** n * act.rank - len(diag) - rank_in
+            full.append(FgAbelianGroup(free, torsion_in))
+            rank_in, torsion_in = len(diag), [d for d in diag if d > 1]
+        assert bar_cohomology(act, 2) == full, (order, act.gen)
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_bar_over_prime_fields(base):
+    # F_p ranks are the divisors prime to p; compare with the periodic
+    # resolution of the reduced action
+    rng = random.Random(24 + base)
+    for order in (2, 3, 4, 6):
+        for _ in range(2):
+            act = random_cyclic_action(rng, order)
+            reduced = CyclicAction(order, act.gen, base=base)
+            assert bar_cohomology(act, 3, base=base) == \
+                [cyclic_cohomology(reduced, n) for n in range(4)], (order, base)
 
 
 def test_random_known_complex_plants_its_answer():
@@ -133,4 +223,4 @@ def test_bar_degree_validation():
     act = random_cyclic_action(rng, 2)
     with pytest.raises(ValueError):
         bar_cohomology(act, -1)
-    assert bar_cohomology(act, 0) == cyclic_cohomology(act, 0)
+    assert bar_cohomology(act, 0) == [cyclic_cohomology(act, 0)]
