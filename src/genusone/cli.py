@@ -1,8 +1,8 @@
 """Command-line surface: single groups, table emission, verify suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic for fixed flags and seed; everything goes to stdout unless
---out is given.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
+path that cannot be written included).  Output is deterministic for fixed
+flags and seed; everything goes to stdout unless --out is given.
 """
 
 from __future__ import annotations
@@ -166,9 +166,7 @@ def _cmd_table(args) -> str:
 def _cmd_verify(args):
     results = run_suite(args.suite, args.seed)
     lines = [f"suite: {args.suite}", f"seed: {args.seed}"]
-    for r in results:
-        mark = "pass" if r.passed else "FAIL"
-        lines.append(f"[{mark}] {r.name}" + (f" -- {r.detail}" if r.detail else ""))
+    lines += [r.line() for r in results]
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
     return "\n".join(lines), 0 if passed == len(results) else 1
@@ -244,8 +242,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return status

@@ -2,18 +2,21 @@
 split them after inverting small factorials.
 
 A cochain on a rank-d lattice is a function of n integer vectors; the
-spaces are infinite, so nothing is tabulated.  The polynomial identities
-(square-zero differential, cocycle property of the alternating maps, the
-cup-product primitive) are certified by exact evaluation on seeded
-pseudo-random tuples: enough points in a fixed box to exceed the
-interpolation bound at each tested degree.
+spaces are infinite, so nothing is tabulated.  Every cochain this module
+builds is integer-valued over a fixed positive ``denominator``: its
+``evaluator`` returns the integer ``denominator * f(v_1, ..., v_n)``.
+A linear form keeps its coefficients as integer numerators over one
+common denominator, the alternating map a^k sums integer products of
+those numerators over k! times the product of the denominators, and the
+differential keeps the denominator of its input.  So the identities below
+are compared as integers, and calling a cochain builds a single exact
+``Fraction`` at the end.
 
-The arithmetic stays in integers until the last step.  A linear form
-keeps its coefficients over one common denominator, so evaluating it is
-an integer dot product.  The alternating map tabulates the integer
-numerators phi_i(v_j) once, takes their alternating sum over
-permutations, and divides once, by k! times the product of the
-denominators.  Every value still comes back as an exact ``Fraction``.
+Two identities are certified.  d(a^k) = 0 is checked by exact evaluation
+on seeded pseudo-random forms and lattice tuples.  The cup-product
+primitive is proved on a finite grid that determines every polynomial of
+the degree involved (see ``verify_cup_primitive``); seeded samples
+remain available for it too.
 """
 
 from __future__ import annotations
@@ -25,6 +28,20 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+
+def _lattice_vector(vector, rank: int) -> tuple:
+    """``vector`` as a tuple of ints; non-integral entries are rejected."""
+    if len(vector) != rank:
+        raise ValueError(f"lattice vectors have length {rank}")
+    try:
+        clean = tuple(map(int, vector))
+        exact = clean == tuple(vector)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"lattice vectors have integer entries, got {vector!r}")
+    return clean
 
 
 @dataclass(frozen=True)
@@ -52,9 +69,8 @@ class DualVector:
         return len(self.coefficients)
 
     def __call__(self, vector) -> Fraction:
-        if len(vector) != self.rank:
-            raise ValueError(f"expected a vector of length {self.rank}")
-        return Fraction(self.numerator(map(int, vector)), self.denominator)
+        return Fraction(self.numerator(_lattice_vector(vector, self.rank)),
+                        self.denominator)
 
     def numerator(self, vector) -> int:
         """denominator * phi(vector), for ints of the right length."""
@@ -63,21 +79,22 @@ class DualVector:
 
 @dataclass(frozen=True)
 class Cochain:
-    """An n-argument function of integer lattice vectors, exact rationals out."""
+    """An n-argument function of integer lattice vectors, exact rationals out.
+
+    ``evaluator`` takes tuples of ints and returns the value times
+    ``denominator``: an int for every cochain this module builds.
+    """
 
     arity: int
     rank: int
     evaluator: object
+    denominator: int = 1
 
     def __call__(self, *vectors) -> Fraction:
         if len(vectors) != self.arity:
             raise ValueError(f"arity {self.arity} cochain got {len(vectors)} arguments")
-        clean = []
-        for v in vectors:
-            if len(v) != self.rank:
-                raise ValueError(f"lattice vectors have length {self.rank}")
-            clean.append(tuple(map(int, v)))
-        return Fraction(self.evaluator(*clean))
+        clean = [_lattice_vector(v, self.rank) for v in vectors]
+        return Fraction(self.evaluator(*clean), self.denominator)
 
 
 def cochain_differential(f: Cochain) -> Cochain:
@@ -85,16 +102,15 @@ def cochain_differential(f: Cochain) -> Cochain:
     n = f.arity
 
     def df(*vectors):
-        total = f.evaluator(*vectors[1:])
+        # terms[i] carries the sign (-1)^i
+        terms = [f.evaluator(*vectors[1:])]
         for i in range(1, n + 1):
-            merged = (vectors[:i - 1]
-                      + (tuple(a + b for a, b in zip(vectors[i - 1], vectors[i])),)
-                      + vectors[i + 1:])
-            total += (-1) ** i * f.evaluator(*merged)
-        total += (-1) ** (n + 1) * f.evaluator(*vectors[:n])
-        return total
+            merged = tuple(map(operator.add, vectors[i - 1], vectors[i]))
+            terms.append(f.evaluator(*vectors[:i - 1], merged, *vectors[i + 1:]))
+        terms.append(f.evaluator(*vectors[:n]))
+        return sum(terms[0::2]) - sum(terms[1::2])
 
-    return Cochain(n + 1, f.rank, df)
+    return Cochain(n + 1, f.rank, df, f.denominator)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,18 +146,18 @@ def splitting_map(phis) -> Cochain:
             for row, j in zip(table, perm):
                 term *= row[j]
             total += term
-        return Fraction(total, denominator)
+        return total
 
-    return Cochain(k, rank, evaluate)
+    return Cochain(k, rank, evaluate, denominator)
 
 
 def cup(phi1: DualVector, phi2: DualVector) -> Cochain:
     """The naive product cochain (l1, l2) -> phi1(l1) * phi2(l2)."""
     if phi1.rank != phi2.rank:
         raise ValueError("linear forms must share one lattice rank")
-    denominator = phi1.denominator * phi2.denominator
-    return Cochain(2, phi1.rank, lambda v1, v2: Fraction(
-        phi1.numerator(v1) * phi2.numerator(v2), denominator))
+    return Cochain(2, phi1.rank,
+                   lambda v1, v2: phi1.numerator(v1) * phi2.numerator(v2),
+                   phi1.denominator * phi2.denominator)
 
 
 @dataclass(frozen=True)
@@ -156,29 +172,61 @@ def _random_vectors(rng: random.Random, count: int, rank: int):
                  for _ in range(count))
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
+def _degree_two_grid(rank: int) -> tuple:
+    """0, every e_i and every e_i + e_j (i <= j): unisolvent for degree <= 2."""
+    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return ((0,) * rank, *basis, *(
+        tuple(map(operator.add, a, b))
+        for a, b in itertools.combinations_with_replacement(basis, 2)))
+
+
 def verify_d_after_a(k: int, d: int, samples: int = 1000,
                      seed: int = 0) -> PointwiseReport:
     """Check d(a^k(phis)) = 0 exactly on random forms and lattice tuples."""
     if not 1 <= k <= d <= 3:
         raise ValueError("supported range is 1 <= k <= d <= 3")
+    _check_samples(samples)
     rng = random.Random(seed)
     for trial in range(samples):
         phis = [DualVector(rng.randint(-10, 10) for _ in range(d))
                 for _ in range(k)]
         image = cochain_differential(splitting_map(phis))
         vectors = _random_vectors(rng, k + 1, d)
-        value = image(*vectors)
+        value = image.evaluator(*vectors)
         if value != 0:
-            return PointwiseReport(False, trial + 1, (phis, vectors, value))
+            return PointwiseReport(False, trial + 1, (
+                phis, vectors, Fraction(value, image.denominator)))
     return PointwiseReport(True, samples)
 
 
 def verify_cup_primitive(phi1: DualVector, phi2: DualVector,
-                         samples: int = 1000, seed: int = 0) -> PointwiseReport:
+                         samples: int | None = None,
+                         seed: int = 0) -> PointwiseReport:
     """Check cup(phi1, phi2) - a^2(phi1 ^ phi2) = d g for g = -1/2 phi1 phi2.
 
     The half-integral primitive is what lets the naive product cochain be
     straightened to its alternating form after 2 is invertible.
+
+    With ``samples=None`` the check is a proof.  Every evaluator involved
+    is a product of at most two linear ``numerator``s, each taken at v1,
+    v2 or v1 + v2, so lhs - rhs is a polynomial of degree <= 2 in the
+    coordinates of v1 and of degree <= 2 in those of v2.  The points 0,
+    e_i and e_i + e_j (i <= j) are unisolvent for polynomials of degree
+    <= 2 (the order-2 principal lattice of the simplex), so the pairs
+    of them, 36 at rank 2 and 100 at rank 3, determine such a polynomial:
+    vanishing there means vanishing on the whole lattice.  Each side is
+    also bilinear in (phi1, phi2), so proving the identity for every pair
+    of basis forms proves it for every pair of forms of that rank.
+
+    With an integer ``samples`` the points are that many seeded random
+    pairs instead.  Either way both sides are compared as integers,
+    cross-multiplied by the three denominators, and ``samples`` in the
+    report counts the points checked.
     """
     if phi1.rank != phi2.rank:
         raise ValueError("linear forms must share one lattice rank")
@@ -186,15 +234,23 @@ def verify_cup_primitive(phi1: DualVector, phi2: DualVector,
         raise ValueError("need lattice rank at least 2")
     naive = cup(phi1, phi2)
     straightened = splitting_map([phi1, phi2])
-    denominator = -2 * phi1.denominator * phi2.denominator
-    primitive = Cochain(1, phi1.rank, lambda v: Fraction(
-        phi1.numerator(v) * phi2.numerator(v), denominator))
+    primitive = Cochain(
+        1, phi1.rank, lambda v: -phi1.numerator(v) * phi2.numerator(v),
+        2 * phi1.denominator * phi2.denominator)
     boundary = cochain_differential(primitive)
-    rng = random.Random(seed)
-    for trial in range(samples):
-        v1, v2 = _random_vectors(rng, 2, phi1.rank)
-        lhs = naive(v1, v2) - straightened(v1, v2)
-        rhs = boundary(v1, v2)
+    dn, ds, db = naive.denominator, straightened.denominator, boundary.denominator
+    if samples is None:
+        points = itertools.product(_degree_two_grid(phi1.rank), repeat=2)
+    else:
+        _check_samples(samples)
+        rng = random.Random(seed)
+        points = (_random_vectors(rng, 2, phi1.rank) for _ in range(samples))
+    for checked, (v1, v2) in enumerate(points, 1):
+        lhs = (naive.evaluator(v1, v2) * ds
+               - straightened.evaluator(v1, v2) * dn) * db
+        rhs = boundary.evaluator(v1, v2) * dn * ds
         if lhs != rhs:
-            return PointwiseReport(False, trial + 1, ((v1, v2), lhs, rhs))
-    return PointwiseReport(True, samples)
+            scale = dn * ds * db
+            return PointwiseReport(False, checked, (
+                (v1, v2), Fraction(lhs, scale), Fraction(rhs, scale)))
+    return PointwiseReport(True, checked)

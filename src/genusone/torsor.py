@@ -299,6 +299,12 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     Unknowns are the |G| * d values of a map c: G -> F_p^d; each pair
     (g, h) imposes c(gh) = c(g) + g.c(h).  Coboundaries are the maps
     g |-> (g - 1)v.
+
+    The ranks come from ``_rank_f2`` and ``_rank_modp``, not from
+    ``exact_linalg.fp_rank``, on purpose: the solver is an independent
+    check on the resolution-based engine (the ``torsor`` suite compares it
+    with the periodic-resolution H^1), so it shares no elimination code
+    with it.
     """
     n, d, p = group.order, group.dim, group.p
     width = n * d

@@ -185,3 +185,13 @@ def test_transfer_bound_kills_higher_cohomology():
             group = sl2z_cohomology(k, p)
             assert group.free_rank == 0, (k, p)
             assert all(12 % f == 0 for f in group.invariant_factors), (k, p, group)
+
+
+def test_three_primary_pattern_after_inverting_two():
+    # H^p(SL2(Z), M)[1/2] = H^p(Z/6, M)[1/2] for p >= 2 (Mayer-Vietoris,
+    # with the cohomology of Z/4 and Z/2 all 2-primary); engine values
+    for j in range(31):
+        for p in range(2, 6):
+            three = j % 6 == (0 if p % 2 == 0 else 4)
+            want = _t(3) if three else ZERO
+            assert sl2z_cohomology(j, p, invert=(2,)) == want, (j, p)

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from genusone.checks import SUITES, run_suite
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +55,17 @@ def test_results_carry_names_and_details(suite_results):
     for r in suite_results["torsor"]:
         assert r.name
         assert isinstance(r.passed, bool)
+
+
+def test_verify_meets_the_benchmark_contract(suite_results):
+    # bench/run.py accepts a verify run only with exactly these counts and
+    # failure lines, so renaming, adding or dropping a check must fail here
+    contract = json.loads(EXPECTED.read_text(encoding="utf-8"))["verify"]
+    assert set(contract) == {"all", "tables"}
+    runs = {"all": [r for name in SUITES for r in suite_results[name]],
+            "tables": suite_results["tables"]}
+    for suite, spec in contract.items():
+        results = runs[suite]
+        assert len(results) == spec["checks"], suite
+        failing = sorted(r.line() for r in results if not r.passed)
+        assert failing == sorted(spec["documented_failures"]), suite

@@ -142,3 +142,14 @@ def test_out_writes_a_file(tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert target.read_text(encoding="utf-8") == "Z/12\n"
+
+
+@pytest.mark.parametrize("argv", [["sl2z", "--k", "2", "--p", "1"],
+                                  ["verify", "mod2"]])
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()

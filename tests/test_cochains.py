@@ -9,6 +9,7 @@ from genusone import cochains
 from genusone.cochains import (Cochain, DualVector, cochain_differential, cup,
                                splitting_map, verify_cup_primitive,
                                verify_d_after_a)
+from genusone.exact_linalg import IntegerMatrix, bareiss_rank
 
 
 def duals(rank):
@@ -212,3 +213,105 @@ def test_cup_product_primitive():
         verify_cup_primitive(DualVector([1]), DualVector([2]))
     with pytest.raises(ValueError):
         cup(e1, DualVector([1, 0, 0]))
+
+
+def test_sample_counts_below_one_are_rejected():
+    e1, e2 = duals(2)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            verify_d_after_a(1, 1, samples=samples)
+        with pytest.raises(ValueError):
+            verify_cup_primitive(e1, e2, samples=samples)
+
+
+def test_non_integer_vectors_are_rejected():
+    phi = DualVector([1, 0])
+    a2 = splitting_map(duals(2))
+    for bad in ((1.5, 0), (Fraction(3, 2), 0), ("1", 0), (float("inf"), 0),
+                (float("nan"), 0), (None, 0)):
+        with pytest.raises(ValueError):
+            phi(bad)
+        with pytest.raises(ValueError):
+            a2(bad, (0, 1))
+    with pytest.raises(ValueError):
+        a2((1.9, 0), (0, 1))
+    # integral values of other numeric types are still lattice vectors
+    assert phi((1.0, 0)) == 1
+    assert a2((Fraction(2), 0), (0, 1.0)) == 1
+
+
+def test_built_cochains_are_integer_valued():
+    phis = [DualVector([Fraction(1, 2), 3, -1]), DualVector([2, Fraction(-1, 3), 0])]
+    a2 = splitting_map(phis)
+    assert a2.denominator == 2 * 2 * 3
+    d = cochain_differential(a2)
+    assert d.denominator == a2.denominator
+    c = cup(*phis)
+    assert c.denominator == 6
+    vectors = ((1, -2, 3), (0, 4, 1), (2, 2, -1))
+    for value in (a2.evaluator(*vectors[:2]), d.evaluator(*vectors),
+                  c.evaluator(*vectors[:2])):
+        assert type(value) is int
+    assert a2(*vectors[:2]) == _reference_splitting(phis, vectors[:2])
+    assert c(*vectors[:2]) == phis[0](vectors[0]) * phis[1](vectors[1])
+
+
+def _monomials(rank):
+    return [e for e in itertools.product(range(3), repeat=rank) if sum(e) <= 2]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_degree_two_grid_is_unisolvent(rank):
+    # the pair grid determines every polynomial of degree <= 2 in each of
+    # v1 and v2: its evaluation matrix on the monomial basis is invertible
+    grid = cochains._degree_two_grid(rank)
+    monomials = [(a, b) for a in _monomials(rank) for b in _monomials(rank)]
+    rows = [[math.prod(x ** e for x, e in zip(v1 + v2, a + b))
+             for a, b in monomials]
+            for v1, v2 in itertools.product(grid, repeat=2)]
+    assert len(rows) == len(monomials) == {2: 36, 3: 100}[rank]
+    assert bareiss_rank(IntegerMatrix(rows))[0] == len(monomials)
+
+
+def test_cup_primitive_grid_proves_the_identity():
+    for rank, points in ((2, 36), (3, 100)):
+        basis = duals(rank)
+        for phi1, phi2 in itertools.product(basis, repeat=2):
+            report = verify_cup_primitive(phi1, phi2)
+            assert report.passed and report.samples == points
+    # fractional forms exercise all three denominators
+    phi1 = DualVector([Fraction(1, 2), Fraction(-2, 3), 5])
+    phi2 = DualVector([Fraction(1, 3), 1, Fraction(-1, 4)])
+    assert verify_cup_primitive(phi1, phi2).passed
+    assert verify_cup_primitive(phi1, phi2, samples=40, seed=1).passed
+
+
+def test_cup_primitive_grid_catches_a_sign_error(monkeypatch):
+    e1, e2 = duals(2)
+    monkeypatch.setattr(cochains, "splitting_map", _sign_flipped_splitting_map)
+    report = verify_cup_primitive(e1, e2)
+    assert not report.passed
+    (v1, v2), lhs, rhs = report.failure
+    assert lhs != rhs and report.samples > 1
+
+
+def test_cup_primitive_grid_catches_an_off_by_one_cup(monkeypatch):
+    e1, e2 = duals(3)[:2]
+    monkeypatch.setattr(cochains, "cup", _off_by_one(cup))
+    report = verify_cup_primitive(e1, e2)
+    assert not report.passed
+    assert report.failure == (((0, 0, 0), (0, 0, 0)), 1, 0)
+
+
+def test_cup_primitive_grid_catches_a_wrong_primitive_scale(monkeypatch):
+    # d g vanishes when v1 or v2 is 0, so the first grid points miss this
+    phi1, phi2 = DualVector([1, 2]), DualVector([3, -1])
+    original = cochains.cochain_differential
+
+    def doubled(f):
+        g = original(f)
+        return cochains.Cochain(g.arity, g.rank,
+                                lambda *vs: 2 * g.evaluator(*vs), g.denominator)
+
+    monkeypatch.setattr(cochains, "cochain_differential", doubled)
+    assert not verify_cup_primitive(phi1, phi2).passed
