@@ -23,7 +23,11 @@ periodic differentials and the restrictions alternate with period 2), so
 D_n = D_{n+2} for n >= 1.  ``sl2z_cohomology`` therefore builds one complex
 per (k, base), in degrees 0..4, which carries D_0..D_3, validates it once,
 and reads every p >= 4 as p' = 2 + p % 2: H^p needs D_{p-1} and D_p, and
-those are D_{p'-1} and D_{p'}.
+those are D_{p'-1} and D_{p'}.  The cached complex reduces itself on its
+unit pivots once and keeps one invariants record per reduced
+differential (``exact_linalg.CochainComplex.reduced``), so every H^p of a
+given (k, base) reads ranks and divisors computed once; there is no
+separate cache of groups.
 """
 
 from __future__ import annotations
@@ -108,14 +112,6 @@ def _sym_complex(k: int, modulus: int | None) -> AmalgamComplex:
     return build_total_complex(standard_coefficient_module("sym_k", k, base=modulus), 4)
 
 
-@lru_cache(maxsize=None)
-def _sym_cohomology(k: int, p: int, modulus: int | None) -> FgAbelianGroup:
-    if p >= 4:
-        # D_{p-1}, D_p are D_1, D_2 (p even) or D_2, D_3 (p odd)
-        return _sym_cohomology(k, 2 + p % 2, modulus)
-    return cohomology_at(_sym_complex(k, modulus).complex, p)
-
-
 def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
                     invert: Iterable[int] = ()) -> FgAbelianGroup:
     """H^p(SL2(Z), Sym^k) over Z, over F_modulus, or with primes inverted.
@@ -134,7 +130,10 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     inverted = inverted_primes(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")
-    group = _sym_cohomology(k, p, modulus)
+    if p >= 4:
+        # D_{p-1}, D_p are D_1, D_2 (p even) or D_2, D_3 (p odd)
+        p = 2 + p % 2
+    group = cohomology_at(_sym_complex(k, modulus).complex, p)
     if inverted:
         group = localize(group, inverted)
     return group

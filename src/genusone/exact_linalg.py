@@ -1,13 +1,23 @@
 """Exact linear algebra over the integers and over prime fields.
 
-Everything in this module works with dense matrices of arbitrary-precision
-Python integers; there is deliberately no floating point and no fixed-width
-arithmetic anywhere.  The central operations are
+Matrices are dense ``IntegerMatrix`` values of arbitrary-precision Python
+integers; the only sparse form is the rows a complex is reduced on.  There
+is deliberately no floating point and no fixed-width arithmetic anywhere.
+The central operations are
 
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
-  finite cochain complex, returned as an ``FgAbelianGroup``.  Over Z it
-  needs only ranks and the elementary divisors of d_{n-1}, because a
-  kernel is a saturated sublattice;
+  finite cochain complex, returned as an ``FgAbelianGroup``.  It reads the
+  complex reduced on its unit pivots (``CochainComplex.reduced``): each
+  +-1 of a differential, or each nonzero residue over F_p, pairs two basis
+  vectors whose span is an acyclic summand, and cancelling the pair leaves
+  a homotopy equivalent complex (Gaussian elimination on chain complexes,
+  Kaczynski, Mrozek and Slusarek 1998; the argument is at
+  ``_reduce_on_units``).  Over F_p nothing is left of the differentials.
+  Over Z each reduced differential keeps one ``DifferentialRecord``: its
+  shape, its rank and a nonzero maximal minor N from one Bareiss pass,
+  and, once it is read as an incoming map, its elementary divisors from
+  that N.  The torsion of H^n needs only the divisors of d_{n-1}, because
+  a kernel is a saturated sublattice;
 * ``bareiss_rank``: rank and a nonzero maximal minor N by fraction-free
   elimination, whose entries are minors and so stay within Hadamard's bound;
 * ``elementary_divisors``: the divisors above 1 from a diagonal form modulo
@@ -23,8 +33,9 @@ of ``FgAbelianGroup`` values is isomorphism of the groups they denote.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 def _is_prime(n: int) -> bool:
@@ -484,8 +495,13 @@ def elementary_divisors(a: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
     rows - r invariant factors of that group are N and are stripped.
     """
     rank, minor = bareiss_rank(a)
+    return rank, _divisors_mod_minor(a, rank, minor)
+
+
+def _divisors_mod_minor(a: IntegerMatrix, rank: int, minor: int) -> tuple[int, ...]:
+    """The divisor pass of ``elementary_divisors``, given ``bareiss_rank(a)``."""
     if minor == 1:
-        return rank, ()
+        return ()
     pivots = _diagonal_mod(a, minor)
     orders = [math.gcd(x, minor) for x in pivots] + [minor] * (a.rows - len(pivots))
     factors = FgAbelianGroup(0, orders).invariant_factors
@@ -494,7 +510,7 @@ def elementary_divisors(a: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
     if stripped != (minor,) * top or minor % math.prod(divisors):
         raise RuntimeError("elementary divisor certificate failed: "
                            f"factors {factors} do not fit the minor {minor}")
-    return rank, divisors
+    return divisors
 
 
 def snf_diagonal(a: IntegerMatrix) -> list[int]:
@@ -684,13 +700,17 @@ class CochainComplex:
     ``ranks[n]`` is the rank of the degree-n term; ``differentials[n]`` maps
     degree n to degree n+1 and therefore has shape ranks[n+1] x ranks[n].
     The complex is zero outside the stored range.  d(n+1) o d(n) == 0 is
-    checked at construction and construction fails otherwise.
+    checked at construction and construction fails otherwise.  The check
+    stays on these unreduced differentials: the unit-pivot reduction that
+    ``cohomology_at`` reads from (``reduced``) relies on d o d = 0 to drop a
+    row, so a defect can vanish from the reduced complex (see
+    ``_reduce_on_units``).
 
     ``base`` is None for Z or a prime p for F_p; over F_p the entries are
     stored reduced.
     """
 
-    __slots__ = ("ranks", "differentials", "base")
+    __slots__ = ("ranks", "differentials", "base", "_reduced")
 
     def __init__(self, ranks: Iterable[int], differentials: Iterable[IntegerMatrix],
                  base: int | None = None):
@@ -716,6 +736,7 @@ class CochainComplex:
         self.ranks = ranks
         self.differentials = diffs
         self.base = base
+        self._reduced = None
 
     def differential(self, n: int) -> IntegerMatrix:
         """d_n, zero-extended outside the stored range."""
@@ -728,38 +749,222 @@ class CochainComplex:
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
+    def reduced(self) -> "ReducedComplex":
+        """The complex reduced on its unit pivots, computed on first use."""
+        if self._reduced is None:
+            self._reduced = _reduce_on_units(self.ranks, self.differentials, self.base)
+        return self._reduced
+
+
+class DifferentialRecord:
+    """What cohomology reads from one reduced differential, each part once.
+
+    ``shape`` is the shape of the reduced differential.  Its rank and a
+    nonzero maximal minor N come from one ``bareiss_rank`` when first asked
+    for, and its elementary divisors from that N when the map is first read
+    as an incoming map.  The matrix itself is released once both are known.
+    """
+
+    __slots__ = ("shape", "_matrix", "_rank_minor", "_divisors")
+
+    def __init__(self, matrix: IntegerMatrix):
+        self.shape = matrix.shape
+        self._matrix = matrix
+        self._rank_minor = None
+        self._divisors = None
+
+    def _bareiss(self) -> tuple[int, int]:
+        if self._rank_minor is None:
+            self._rank_minor = bareiss_rank(self._matrix)
+        return self._rank_minor
+
+    @property
+    def rank(self) -> int:
+        return self._bareiss()[0]
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        if self._divisors is None:
+            self._divisors = _divisors_mod_minor(self._matrix, *self._bareiss())
+            self._matrix = None
+        return self._divisors
+
+
+class ReducedComplex(NamedTuple):
+    """A cochain complex after every unit pivot has been cancelled.
+
+    ``records[n]`` holds the reduced d_n, and ``ranks[n]``, the number of
+    surviving basis vectors of C^n, is read off the records' shapes.  Its
+    cohomology is that of the complex it came from.
+    """
+
+    ranks: tuple[int, ...]
+    records: tuple[DifferentialRecord, ...]
+
+
+def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix, ...],
+                     base: int | None) -> ReducedComplex:
+    """Cancel unit pivots until no differential has one left.
+
+    A unit is +-1 over Z and any nonzero residue over F_p.  Let u = d_n[i][j]
+    be one, pairing e_j in C^n with f_i in C^{n+1}.  As u is invertible,
+    d_n e_j and the f_a (a != i) form a basis of C^{n+1}, and e_j with
+    e'_b = e_b - u^-1 d_n[i][b] e_j (b != j) a basis of C^n; both changes of
+    basis are unimodular.  In the new bases the complex splits as C' + E,
+    where E is Z e_j --u--> Z d_n e_j, an isomorphism and so acyclic, and
+    C' is spanned by the other basis vectors:
+
+    * d_n e'_b = sum over a != i of (d_n[a][b] - d_n[a][j] u^-1 d_n[i][b]) f_a,
+      so d_n gets the rank-one update row_a -= (d_n[a][j] / u) row_i and
+      loses row i and column j;
+    * d_{n+1} d_n e_j = 0 and the f_a keep their images, so d_{n+1} loses
+      column i;
+    * d_{n-1} x = sum over b != j of d_{n-1}[b][x] e'_b + c e_j, and applying
+      d_n gives c d_n e_j plus a vector in the span of the f_a, so
+      d_n d_{n-1} = 0 forces c = 0 and d_{n-1} loses row j.
+
+    The inclusion of C' and the projection onto it are inverse chain
+    homotopy equivalences, so H(C') = H(C), over Z and equally over F_p.
+    The last step is why d o d is checked before reducing: if d_n d_{n-1}
+    were nonzero, c would be the defect, and dropping row j discards it, so
+    the reduced complex can satisfy d o d = 0 where the original does not.
+
+    Pivots are taken within each d_n, n ascending (``_cancel_units``).
+    Cancelling in d_n only deletes entries of d_{n-1} and d_{n+1}, so no
+    unit is left anywhere at the end.  The deletions are bookkeeping on the
+    surviving bases: d_{n+1} is read without its cancelled columns, and
+    d_{n-1}, kept as dense rows after its own pass, drops its rows during
+    the pass over d_n and is recorded after it.  Over F_p every entry is a
+    unit, so every reduced differential is zero.
+    """
+    alive = [set(range(r)) for r in ranks]
+    records = []
+    lower = None  # d_{n-1} after its pass, as dense rows {i: row}
+    for n, d in enumerate(differentials):
+        live = alive[n]
+        rows = {}
+        for i, row in enumerate(d):
+            entries = {j: v for j, v in enumerate(row) if v and j in live}
+            if entries:
+                rows[i] = entries
+        for i, j in _cancel_units(rows, base):
+            if lower is not None:
+                del lower[j]
+            alive[n].discard(j)
+            alive[n + 1].discard(i)
+        if base is not None and rows:
+            raise RuntimeError("unit reduction over F_p left a nonzero differential")
+        if lower is not None:
+            records.append(DifferentialRecord(IntegerMatrix(lower.values(),
+                                                            cols=len(alive[n - 1]))))
+        lower = _dense_rows(rows, alive[n + 1], alive[n])
+    if lower is None:
+        return ReducedComplex(ranks, ())
+    records.append(DifferentialRecord(IntegerMatrix(lower.values(), cols=len(alive[-2]))))
+    return ReducedComplex((records[0].shape[1],) + tuple(r.shape[0] for r in records),
+                          tuple(records))
+
+
+def _cancel_units(rows: dict, base: int | None):
+    """Cancel unit pivots of sparse rows {i: {j: v}} in place; yield each (i, j).
+
+    The pivot is taken from the shortest row holding a unit, in the unit
+    column of that row with the fewest entries.  Row i and column j are
+    deleted, and every other row a gets row_a -= (row_a[j] / u) row_i,
+    reduced mod ``base`` over F_p.
+    """
+    cols = {}
+    for i, entries in rows.items():
+        for j in entries:
+            cols.setdefault(j, set()).add(i)
+    # (length, row) entries go stale when a row changes; a changed row is
+    # pushed again, and a stale entry is skipped when it is popped
+    heap = [(len(entries), i) for i, entries in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        length, i = heapq.heappop(heap)
+        prow = rows.get(i)
+        if prow is None or len(prow) != length:
+            continue
+        units = list(prow) if base is not None else [j for j, v in prow.items()
+                                                      if v == 1 or v == -1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: len(cols[c]))
+        inverse = prow[j] if base is None else pow(prow[j], -1, base)
+        del rows[i]
+        for c in prow:
+            cols[c].discard(i)
+        for a in cols.pop(j):
+            target = rows[a]
+            q = target[j] * inverse
+            for c, v in prow.items():
+                new = target.get(c, 0) - q * v
+                if base is not None:
+                    new %= base
+                if new:
+                    if c not in target:
+                        cols.setdefault(c, set()).add(a)
+                    target[c] = new
+                elif c in target:
+                    del target[c]
+                    if c != j:
+                        cols[c].discard(a)
+            if target:
+                heapq.heappush(heap, (len(target), a))
+            else:
+                del rows[a]
+        yield i, j
+
+
+def _dense_rows(rows: dict, row_basis: set, col_basis: set) -> dict:
+    """Sparse rows as dense tuples {i: row} over the surviving bases, in order.
+
+    Zero rows share one tuple, and ``IntegerMatrix`` keeps tuples as they are.
+    """
+    position = {j: t for t, j in enumerate(sorted(col_basis))}
+    zero = (0,) * len(position)
+    dense = {}
+    for i in sorted(row_basis):
+        if i in rows:
+            row = list(zero)
+            for j, v in rows[i].items():
+                row[position[j]] = v
+            dense[i] = tuple(row)
+        else:
+            dense[i] = zero
+    return dense
+
 
 def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     """ker(d_n)/im(d_{n-1}) as an abelian group in canonical form.
+
+    It is read from ``complex_.reduced()``, the complex with every unit
+    pivot cancelled, which has the same cohomology and whose records hold
+    each differential's invariants once computed.  Over F_p nothing is
+    left of the differentials, so the answer is F_p to the number of
+    surviving basis vectors of C^n.
 
     Over Z, ker(d_n) is saturated in C^n: C^n/ker(d_n) embeds in the free
     group C^{n+1}.  So the torsion of ker(d_n)/im(d_{n-1}) is the torsion of
     coker(d_{n-1}), whose invariant factors are the elementary divisors of
     d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}.  One
-    fraction-free elimination per differential gives the ranks; the
-    divisors come from a diagonal form modulo a nonzero maximal minor N of
-    d_{n-1}, which they divide, so that pass keeps every entry below N.
+    fraction-free elimination per reduced differential gives its rank and
+    a nonzero maximal minor N; the divisors come from a diagonal form
+    modulo N, which they divide, so that pass keeps every entry below N.
     Bareiss entries are themselves minors, bounded by Hadamard's
-    inequality, and no unimodular transform is carried.  Over F_p only
-    ranks are needed and the answer is a direct sum of copies of Z/p.
+    inequality, and no unimodular transform is carried.
     """
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")
-    outgoing = complex_.differential(n)
-    incoming = complex_.differential(n - 1)
-    rank_here = complex_.ranks[n]
-
+    ranks, records = complex_.reduced()
     if complex_.base is not None:
-        p = complex_.base
-        nullity = rank_here - fp_rank(outgoing, p) if rank_here else 0
-        dim = nullity - fp_rank(incoming, p)
-        return FgAbelianGroup(0, [p] * dim)
-
-    if rank_here == 0:
+        return FgAbelianGroup(0, [complex_.base] * ranks[n])
+    if ranks[n] == 0:
         return FgAbelianGroup()
-    rank_out, _ = bareiss_rank(outgoing)
-    rank_in, torsion = elementary_divisors(incoming)
-    free = rank_here - rank_out - rank_in
+    rank_out = records[n].rank if n < len(records) else 0
+    rank_in, torsion = (records[n - 1].rank, records[n - 1].divisors) if n else (0, ())
+    free = ranks[n] - rank_out - rank_in
     if free < 0:
         raise RuntimeError("rank d_n + rank d_{n-1} exceeds rank C^n; d o d != 0?")
     return FgAbelianGroup(free, torsion)

@@ -1,7 +1,7 @@
 import pytest
 
-from genusone.amalgam import (_sym_cohomology, _sym_complex, build_total_complex,
-                              sl2z_cohomology, sl2z_cohomology_module)
+from genusone.amalgam import (_sym_complex, build_total_complex, sl2z_cohomology,
+                              sl2z_cohomology_module)
 from genusone.exact_linalg import FgAbelianGroup, cohomology_at
 from genusone.group_modules import GroupModule, standard_coefficient_module
 
@@ -92,10 +92,10 @@ def test_folded_degrees_match_explicit_complexes(modulus):
 
 
 def test_bad_inversion_is_rejected_before_computing():
-    before = _sym_cohomology.cache_info().misses
+    before = _sym_complex.cache_info().misses
     with pytest.raises(ValueError, match="can only invert"):
         sl2z_cohomology(30, 2, invert=(1,))
-    assert _sym_cohomology.cache_info().misses == before
+    assert _sym_complex.cache_info().misses == before
 
 
 def test_mod_p_values():
@@ -160,11 +160,9 @@ def test_f_p_route_checks_only_the_reduced_module(monkeypatch):
 
     monkeypatch.setattr(GroupModule, "_check_relations", spy)
     _sym_complex.cache_clear()
-    _sym_cohomology.cache_clear()
     sl2z_cohomology(10, 3, modulus=2)
     assert bases == [2]
     _sym_complex.cache_clear()
-    _sym_cohomology.cache_clear()
 
 
 @pytest.mark.parametrize("modulus", [2, 3])
@@ -195,3 +193,26 @@ def test_three_primary_pattern_after_inverting_two():
             three = j % 6 == (0 if p % 2 == 0 else 4)
             want = _t(3) if three else ZERO
             assert sl2z_cohomology(j, p, invert=(2,)) == want, (j, p)
+
+
+def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
+    # one bareiss_rank per reduced D_0..D_3 of each Sym^k, k <= 19: the
+    # divisors reuse its minor, and every H^p, p >= 4, reads folded records
+    import genusone.exact_linalg as exact_linalg
+    from genusone.cli import main
+
+    calls = []
+    original = exact_linalg.bareiss_rank
+
+    def spy(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
+    _sym_complex.cache_clear()
+    try:
+        assert main(["table", "sl2z", "--max-k", "19", "--max-p", "5"]) == 0
+    finally:
+        _sym_complex.cache_clear()
+    assert "Z/12" in capsys.readouterr().out
+    assert 0 < len(calls) <= 80

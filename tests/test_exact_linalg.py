@@ -4,12 +4,15 @@ import random
 
 import pytest
 
+from genusone.amalgam import build_total_complex
 from genusone.exact_linalg import (CochainComplex, FgAbelianGroup,
                                    IntegerMatrix, bareiss_rank, cohomology_at,
                                    direct_sum, elementary_divisors, fp_rank,
                                    group_from_json, group_to_json,
                                    inverted_primes, localize, mod_p_dims,
                                    smith_normal_form, snf_diagonal)
+from genusone.group_modules import standard_coefficient_module
+from genusone.oracles import random_known_complex
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -251,3 +254,110 @@ def test_mod_p_complex():
     # kernel of the zero map is everything, image of delta is one-dimensional
     assert cohomology_at(cpx, 1) == FgAbelianGroup(0, [2])
     assert cohomology_at(cpx, 0) == FgAbelianGroup(0, [2])
+
+
+def reference_cohomology(cpx, n):
+    """H^n from the unreduced differentials: Bareiss ranks and divisors over Z,
+    ``fp_rank`` over F_p."""
+    rank_here = cpx.ranks[n]
+    outgoing, incoming = cpx.differential(n), cpx.differential(n - 1)
+    if cpx.base is not None:
+        p = cpx.base
+        return FgAbelianGroup(0, [p] * (rank_here - fp_rank(outgoing, p)
+                                        - fp_rank(incoming, p)))
+    rank_in, torsion = elementary_divisors(incoming)
+    return FgAbelianGroup(rank_here - bareiss_rank(outgoing)[0] - rank_in, torsion)
+
+
+def test_complex_without_units_passes_through_unreduced():
+    # entries in {0, +-2, +-3}: nothing to cancel
+    d0 = IntegerMatrix([[2, 3], [2, 3], [0, 0]])
+    d1 = IntegerMatrix([[3, -3, 2], [2, -2, 3]])
+    cpx = CochainComplex([2, 3, 2], [d0, d1])
+    reduced = cpx.reduced()
+    assert reduced.ranks == cpx.ranks
+    assert [record.shape for record in reduced.records] == [d0.shape, d1.shape]
+    assert [record.rank for record in reduced.records] == [bareiss_rank(d0)[0],
+                                                           bareiss_rank(d1)[0]]
+    for n in range(3):
+        assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), n
+    assert [cohomology_at(cpx, n) for n in range(3)] == [
+        FgAbelianGroup(1), FgAbelianGroup(), FgAbelianGroup(0, [5])]
+    multiplication = CochainComplex([1, 1, 1, 1], [IntegerMatrix([[2]]), IntegerMatrix([[0]]),
+                                                   IntegerMatrix([[-3]])])
+    assert multiplication.reduced().ranks == (1, 1, 1, 1)
+
+
+def test_cancelling_drops_the_pivot_row_of_the_map_below():
+    # d_1 = (2 0 1) has its only unit in column 2, so e_2 of C^1 pairs with
+    # C^2; row 2 of d_0 = -2 * row 0 must go, or C^1 keeps a third vector
+    d0 = IntegerMatrix([[3, 0], [0, 5], [-6, 0]])
+    d1 = IntegerMatrix([[2, 0, 1]])
+    cpx = CochainComplex([2, 3, 1], [d0, d1])
+    assert cpx.reduced().ranks == (2, 2, 0)
+    assert [cohomology_at(cpx, n) for n in range(3)] == [
+        FgAbelianGroup(), FgAbelianGroup(0, [15]), FgAbelianGroup()]
+
+
+def test_cancelling_drops_the_pivot_column_of_the_map_above():
+    # d_0 pairs e_0 of C^0 with f_0 of C^1 and takes row 1 to zero; column 0
+    # of d_1 then belongs to a cancelled vector and must not be read again
+    d0 = IntegerMatrix([[1], [-1]])
+    d1 = IntegerMatrix([[1, 1], [3, 3]])
+    cpx = CochainComplex([1, 2, 2], [d0, d1])
+    assert cpx.reduced().ranks == (0, 0, 1)
+    assert [cohomology_at(cpx, n) for n in range(3)] == [
+        FgAbelianGroup(), FgAbelianGroup(), FgAbelianGroup(1)]
+    # the same shape with a non-unit first entry: d_1 keeps a unit column
+    d0 = IntegerMatrix([[2], [-2]])
+    cpx = CochainComplex([1, 2, 2], [d0, d1])
+    assert [cohomology_at(cpx, n) for n in range(3)] == [
+        FgAbelianGroup(), FgAbelianGroup(0, [2]), FgAbelianGroup(1)]
+
+
+def test_unit_reduction_empties_every_differential_over_f_p():
+    rng = random.Random(4)
+    for p in (2, 3, 5):
+        for _ in range(15):
+            integral, _ = random_known_complex(rng)
+            cpx = CochainComplex(integral.ranks, integral.differentials, base=p)
+            assert all(record.rank == 0 for record in cpx.reduced().records)
+            for n in range(3):
+                assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), (p, n)
+
+
+def test_reduction_matches_planted_complexes():
+    rng = random.Random(8)
+    for _ in range(50):
+        cpx, planted = random_known_complex(rng)
+        assert cohomology_at(cpx, 1) == planted
+        for n in range(3):
+            assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), n
+
+
+@pytest.mark.parametrize("base", [None, 2, 3])
+def test_reduction_matches_unreduced_sym_k_complexes(base):
+    for k in range(13):
+        module = standard_coefficient_module("sym_k", k, base=base)
+        cpx = build_total_complex(module, 6).complex
+        for n in range(6):
+            assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), (k, n)
+
+
+def test_records_compute_each_invariant_once(monkeypatch):
+    import genusone.exact_linalg as exact_linalg
+    calls = []
+    original = exact_linalg.bareiss_rank
+
+    def spy(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
+    d0 = IntegerMatrix([[2, 3], [2, 3], [0, 0]])
+    d1 = IntegerMatrix([[3, -3, 2], [2, -2, 3]])
+    cpx = CochainComplex([2, 3, 2], [d0, d1])
+    groups = [cohomology_at(cpx, n) for n in (0, 1, 2, 0, 1, 2)]
+    assert groups[:3] == groups[3:]
+    assert calls == [(3, 2), (2, 3)]
+    assert cpx.reduced() is cpx.reduced()
