@@ -20,7 +20,8 @@ H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
 Every block of D_n depends only on the parity of n once n >= 1 (the
 periodic differentials and the restrictions alternate with period 2), so
-D_n = D_{n+2} for n >= 1.  ``sl2z_cohomology`` therefore builds one complex
+D_n = D_{n+2} for n >= 1, and over Z ``build_total_complex`` holds one
+matrix for both.  ``sl2z_cohomology`` therefore builds one complex
 per (k, base), in degrees 0..4, which carries D_0..D_3, validates it once,
 and reads every p >= 4 as p' = 2 + p % 2: H^p needs D_{p-1} and D_p, and
 those are D_{p'-1} and D_{p'}.  The cached complex reduces itself on its
@@ -102,8 +103,15 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
         return IntegerMatrix.from_blocks(grid)
 
     ranks = [2 * r] + [3 * r] * top_degree
-    total = CochainComplex(ranks, (differential(n) for n in range(top_degree)),
-                           base=module.base)
+    if module.base is None:
+        # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p each
+        # is reduced as it is consumed, and holding the unreduced ones for
+        # reuse would cost more memory than sharing saves
+        first = [differential(n) for n in range(min(top_degree, 3))]
+        diffs = [first[n] if n < 3 else first[2 - n % 2] for n in range(top_degree)]
+    else:
+        diffs = (differential(n) for n in range(top_degree))
+    total = CochainComplex(ranks, diffs, base=module.base)
     return AmalgamComplex(total, module.name, r, top_degree)
 
 
