@@ -107,8 +107,9 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
         # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p each
         # is reduced as it is consumed, and holding the unreduced ones for
         # reuse would cost more memory than sharing saves
-        first = [differential(n) for n in range(min(top_degree, 3))]
-        diffs = [first[n] if n < 3 else first[2 - n % 2] for n in range(top_degree)]
+        diffs = []
+        for n in range(top_degree):
+            diffs.append(differential(n) if n < 3 else diffs[n - 2])
     else:
         diffs = (differential(n) for n in range(top_degree))
     total = CochainComplex(ranks, diffs, base=module.base)
