@@ -20,8 +20,8 @@ H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
 Every block of D_n depends only on the parity of n once n >= 1 (the
 periodic differentials and the restrictions alternate with period 2), so
-D_n = D_{n+2} for n >= 1, and over Z ``build_total_complex`` holds one
-matrix for both.  ``sl2z_cohomology`` therefore builds one complex
+D_n = D_{n+2} for n >= 1, and ``build_total_complex`` holds one matrix
+for both.  ``sl2z_cohomology`` therefore builds one complex
 per (k, base), in degrees 0..4, which carries D_0..D_3, validates it once,
 and reads every p >= 4 as p' = 2 + p % 2: H^p needs D_{p-1} and D_p, and
 those are D_{p'-1} and D_{p'}.  The cached complex reduces itself on its
@@ -100,18 +100,15 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
             grid = [[da, zero, zero],
                     [zero, db, zero],
                     [res_a, -res_b, -dc]]
-        return IntegerMatrix.from_blocks(grid)
+        total = IntegerMatrix.from_blocks(grid)
+        return total if module.base is None else total.mod(module.base)
 
     ranks = [2 * r] + [3 * r] * top_degree
-    if module.base is None:
-        # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p each
-        # is reduced as it is consumed, and holding the unreduced ones for
-        # reuse would cost more memory than sharing saves
-        diffs = []
-        for n in range(top_degree):
-            diffs.append(differential(n) if n < 3 else diffs[n - 2])
-    else:
-        diffs = (differential(n) for n in range(top_degree))
+    # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p it is
+    # built reduced, so the complex keeps it as it is and it stays shared
+    diffs = []
+    for n in range(top_degree):
+        diffs.append(differential(n) if n < 3 else diffs[n - 2])
     total = CochainComplex(ranks, diffs, base=module.base)
     return AmalgamComplex(total, module.name, r, top_degree)
 

@@ -49,9 +49,7 @@ class DualVector:
     """A linear form on the lattice, given by its coefficient vector.
 
     The coefficients are also kept as integer ``numerators`` over their
-    least common ``denominator``.  A form given by ints keeps them as they
-    are, with denominator 1: it equals and hashes like the same form given
-    by Fractions, and no Fraction is built.
+    least common ``denominator``.
     """
 
     coefficients: tuple
@@ -59,12 +57,6 @@ class DualVector:
     numerators: tuple = field(repr=False, compare=False)
 
     def __init__(self, coefficients):
-        coefficients = tuple(coefficients)
-        if all(type(c) is int for c in coefficients):
-            object.__setattr__(self, "coefficients", coefficients)
-            object.__setattr__(self, "denominator", 1)
-            object.__setattr__(self, "numerators", coefficients)
-            return
         coefficients = tuple(Fraction(c) for c in coefficients)
         denominator = math.lcm(*(c.denominator for c in coefficients))
         object.__setattr__(self, "coefficients", coefficients)

@@ -200,6 +200,9 @@ class IntegerMatrix:
         return IntegerMatrix(list(zip(*self._data)), cols=self.rows)
 
     def mod(self, p: int) -> "IntegerMatrix":
+        """Entries reduced into [0, p); a matrix already reduced is returned as is."""
+        if all(min(r, default=0) >= 0 and max(r, default=0) < p for r in self._data):
+            return self
         return IntegerMatrix(([x % p for x in r] for r in self._data), cols=self.cols)
 
     def det(self) -> int:
@@ -719,7 +722,8 @@ class CochainComplex:
             raise ValueError("ranks must be non-negative")
         if base is not None and not _is_prime(base):
             raise ValueError(f"base must be a prime or None, got {base}")
-        # reduce while consuming, so an iterator's unreduced matrices are freed one by one
+        # reduce while consuming, so an iterator's unreduced matrices are freed
+        # one by one; a matrix given reduced is kept, and so stays shared
         diffs = tuple(d if base is None else d.mod(base) for d in differentials)
         if len(diffs) != max(len(ranks) - 1, 0):
             raise ValueError("need exactly one differential per adjacent pair of degrees")

@@ -80,16 +80,20 @@ def test_periodicity_above_degree_one():
             assert cohomology_at(cpx, p) == cohomology_at(cpx, p + 2), (k, p)
 
 
-def test_periodic_differentials_are_shared_over_z():
-    # over Z one matrix serves D_n and D_{n+2} (n >= 1); the F_2 complex
-    # builds every degree afresh and agrees with the shared ones mod 2
+def test_periodic_differentials_are_shared():
+    # one matrix serves D_n and D_{n+2} (n >= 1) over Z and over F_p, and
+    # each F_p differential is the integral one reduced mod p
     for k in (0, 3, 6):
         integral = build_total_complex(standard_coefficient_module("sym_k", k), 7).complex
-        mod2 = build_total_complex(standard_coefficient_module("sym_k", k, base=2), 7).complex
-        for n in range(7):
-            if n >= 3:
-                assert integral.differential(n) is integral.differential(n - 2), (k, n)
-            assert mod2.differential(n) == integral.differential(n).mod(2), (k, n)
+        for base in (None, 2, 3):
+            cpx = build_total_complex(standard_coefficient_module("sym_k", k, base=base),
+                                      7).complex
+            for n in range(7):
+                if n >= 3:
+                    assert cpx.differential(n) is cpx.differential(n - 2), (k, base, n)
+                if base is not None:
+                    assert cpx.differential(n) == integral.differential(n).mod(base), \
+                        (k, base, n)
 
 
 @pytest.mark.parametrize("modulus", [None, 2])

@@ -315,19 +315,3 @@ def test_cup_primitive_grid_catches_a_wrong_primitive_scale(monkeypatch):
 
     monkeypatch.setattr(cochains, "cochain_differential", doubled)
     assert not verify_cup_primitive(phi1, phi2).passed
-
-
-def test_integer_forms_take_the_fast_path():
-    phi = DualVector([3, -2, 0])
-    assert phi.denominator == 1
-    assert phi.numerators == (3, -2, 0)
-    assert all(type(c) is int for c in phi.coefficients)
-    slow = DualVector([Fraction(3), Fraction(-2), Fraction(0)])
-    assert all(type(c) is Fraction for c in slow.coefficients)
-    assert phi == slow and hash(phi) == hash(slow)
-    assert phi.coefficients == (Fraction(3), Fraction(-2), Fraction(0))
-    assert phi((1, 2, 5)) == Fraction(-1) and type(phi((1, 2, 5))) is Fraction
-    # a generator is read once, and a bool is not taken for an int
-    assert DualVector(c for c in (1, 2)).numerators == (1, 2)
-    assert DualVector([True, 2]).coefficients == (Fraction(1), Fraction(2))
-    assert DualVector([]).denominator == 1

@@ -31,6 +31,15 @@ def test_matrix_basics():
     assert a.mod(2).to_lists() == [[1, 0], [1, 0]]
 
 
+def test_mod_keeps_a_reduced_matrix():
+    reduced = IntegerMatrix([[0, 2], [1, 0]])
+    assert reduced.mod(3) is reduced
+    for data in ([[0, 3], [1, 0]], [[0, -1], [1, 0]], [[5, 0], [0, 0]]):
+        m = IntegerMatrix(data)
+        assert m.mod(3) is not m
+        assert m.mod(3).to_lists() == [[x % 3 for x in row] for row in data]
+
+
 def _naive_product(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(a.cols)) for j in range(b.cols)]
             for i in range(a.rows)]
