@@ -66,14 +66,22 @@ def _vertex_actions(module: GroupModule):
 
 
 def _parity_blocks(module: GroupModule):
-    """Blocks of D_n for even and for odd n: (dA, dB, dC at n - 1, r_A, r_B)."""
+    """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B).
+
+    Over F_p every block is reduced, the negated ones included, so the
+    assembled D_n is reduced as built.
+    """
     a, b, c = _vertex_actions(module)
 
     def delta(action: CyclicAction, n: int) -> IntegerMatrix:
         return action.coboundary() if n % 2 == 0 else action.norm()
 
-    return [(delta(a, n), delta(b, n), delta(c, n - 1),
-             restriction_cochain_matrix(a, 2, n), restriction_cochain_matrix(b, 3, n))
+    def negated(m: IntegerMatrix) -> IntegerMatrix:
+        return -m if module.base is None else (-m).mod(module.base)
+
+    return [(delta(a, n), delta(b, n), negated(delta(c, n - 1)),
+             restriction_cochain_matrix(a, 2, n),
+             negated(restriction_cochain_matrix(b, 3, n)))
             for n in (0, 1)]
 
 
@@ -91,17 +99,16 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     zero = IntegerMatrix.zeros(r, r)
 
     def differential(n: int) -> IntegerMatrix:
-        da, db, dc, res_a, res_b = blocks[n % 2]
+        da, db, neg_dc, res_a, neg_res_b = blocks[n % 2]
         if n == 0:
             grid = [[da, zero],
                     [zero, db],
-                    [res_a, -res_b]]
+                    [res_a, neg_res_b]]
         else:
             grid = [[da, zero, zero],
                     [zero, db, zero],
-                    [res_a, -res_b, -dc]]
-        total = IntegerMatrix.from_blocks(grid)
-        return total if module.base is None else total.mod(module.base)
+                    [res_a, neg_res_b, neg_dc]]
+        return IntegerMatrix.from_blocks(grid)
 
     ranks = [2 * r] + [3 * r] * top_degree
     # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p it is

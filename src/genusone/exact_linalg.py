@@ -1,9 +1,12 @@
 """Exact linear algebra over the integers and over prime fields.
 
 Matrices are dense ``IntegerMatrix`` values of arbitrary-precision Python
-integers; the only sparse form is the rows a complex is reduced on.  There
-is deliberately no floating point and no fixed-width arithmetic anywhere.
-The central operations are
+integers.  Work that is proportional to the nonzero entries reads them as
+sparse rows of (column, value) pairs (``IntegerMatrix.sparse_rows``): the
+matrix product, the d o d check of a ``CochainComplex``, which forms the
+composite one row at a time and never builds it, and the unit-pivot
+reduction of a complex.  There is deliberately no floating point and no
+fixed-width arithmetic anywhere.  The central operations are
 
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
   finite cochain complex, returned as an ``FgAbelianGroup``.  It reads the
@@ -38,31 +41,63 @@ import math
 from typing import Iterable, NamedTuple
 
 
+#: the first 13 primes; as Miller-Rabin bases they decide primality exactly
+#: below _PRIME_TEST_LIMIT (Sorenson and Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+#: _factor trial-divides up to here; a larger cofactor must be prime
+_TRIAL_DIVISION_LIMIT = 10 ** 6
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above the exact range.
+
+    >>> [q for q in range(30) if _is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> _is_prime(10 ** 18 + 3), _is_prime(1_000_003 * 1_000_033)
+    (True, False)
+    """
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"only integers below {_PRIME_TEST_LIMIT} are tested")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def _factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at the sizes we meet."""
+    """Prime factorization of n >= 1: trial division, then a prime cofactor.
+
+    Divisors are tried up to 10^6; what is left must be 1 or a prime, or
+    ValueError is raised rather than factoring further.
+    """
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d <= _TRIAL_DIVISION_LIMIT and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
+        if not _is_prime(n):
+            raise ValueError(f"cannot factor {n}: it has no prime factor up to "
+                             f"{_TRIAL_DIVISION_LIMIT} and is not prime")
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -141,6 +176,10 @@ class IntegerMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
 
+    def sparse_rows(self) -> list[list[tuple[int, int]]]:
+        """Each row as its (column, value) pairs with value != 0, in column order."""
+        return [[(j, x) for j, x in enumerate(row) if x] for row in self._data]
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
@@ -151,16 +190,9 @@ class IntegerMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        # row i of the product is the sum of a_ij * (row j of other) over the
-        # nonzero a_ij, so zero entries cost nothing
-        out = []
-        for row in self._data:
-            acc = [0] * other.cols
-            for a, other_row in zip(row, other._data):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, other_row)]
-            out.append(tuple(acc))
-        return IntegerMatrix(out, cols=other.cols)
+        right = other.sparse_rows()
+        return IntegerMatrix((_row_product(row, right, other.cols)
+                              for row in self.sparse_rows()), cols=other.cols)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -244,6 +276,20 @@ class IntegerMatrix:
 
     def __repr__(self):
         return f"IntegerMatrix({[list(r) for r in self._data]!r})"
+
+
+def _row_product(row: list[tuple[int, int]], right: list[list[tuple[int, int]]],
+                 width: int) -> list[int]:
+    """The row vector ``row`` times the matrix ``right``, both as sparse rows.
+
+    Row i of A * B is the sum of a_ij * (row j of B) over the nonzero a_ij,
+    so a product a_ij * b_jc is formed only when both factors are nonzero.
+    """
+    acc = [0] * width
+    for j, a in row:
+        for c, v in right[j]:
+            acc[c] += a * v
+    return acc
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -703,11 +749,19 @@ class CochainComplex:
     ``ranks[n]`` is the rank of the degree-n term; ``differentials[n]`` maps
     degree n to degree n+1 and therefore has shape ranks[n+1] x ranks[n].
     The complex is zero outside the stored range.  d(n+1) o d(n) == 0 is
-    checked at construction and construction fails otherwise.  The check
-    stays on these unreduced differentials: the unit-pivot reduction that
-    ``cohomology_at`` reads from (``reduced``) relies on d o d = 0 to drop a
-    row, so a defect can vanish from the reduced complex (see
-    ``_reduce_on_units``).
+    checked at construction and construction fails otherwise.
+
+    The check takes each distinct differential as sparse rows once (the
+    amalgam complex passes D_1 and D_3 as one object) and forms each row
+    of d(n+1) o d(n) as the sum of a * (row j of d(n)) over the nonzero
+    entries a = d(n+1)[i][j], in exact integer arithmetic.  A row fails if
+    it is nonzero over Z, or has an entry not divisible by p over F_p; it is
+    dropped once seen to vanish, so the product matrix is never built.
+    Skipping zero entries changes no sum, so the check is exactly the test
+    that the product is zero.  It stays on these unreduced differentials:
+    the unit-pivot reduction that ``cohomology_at`` reads from (``reduced``)
+    relies on d o d = 0 to drop a row, so a defect can vanish from the
+    reduced complex (see ``_reduce_on_units``).
 
     ``base`` is None for Z or a prime p for F_p; over F_p the entries are
     stored reduced.
@@ -731,12 +785,17 @@ class CochainComplex:
             if d.shape != (ranks[n + 1], ranks[n]):
                 raise ValueError(f"differential {n} has shape {d.shape}, "
                                  f"expected {(ranks[n + 1], ranks[n])}")
+        # keyed by identity, so a differential passed twice is converted once
+        sparse = {}
+        for d in diffs:
+            if id(d) not in sparse:
+                sparse[id(d)] = d.sparse_rows()
         for n in range(len(diffs) - 1):
-            square = diffs[n + 1] * diffs[n]
-            if base is not None:
-                square = square.mod(base)
-            if not square.is_zero():
-                raise ValueError(f"d{n + 1} o d{n} is not zero; not a complex")
+            right = sparse[id(diffs[n])]
+            for row in sparse[id(diffs[n + 1])]:
+                acc = _row_product(row, right, ranks[n])
+                if any(acc) and (base is None or any(x % base for x in acc)):
+                    raise ValueError(f"d{n + 1} o d{n} is not zero; not a complex")
         self.ranks = ranks
         self.differentials = diffs
         self.base = base

@@ -32,9 +32,28 @@ def test_sl2z_mod_and_invert(capsys):
     assert code == 0 and out.strip() == "Z[1/6]"
 
 
-@pytest.mark.parametrize("modulus", ["0", "1", "4", "-2"])
+@pytest.mark.parametrize("modulus", ["0", "1", "4", "-2", str(10 ** 25)])
 def test_sl2z_rejects_a_modulus_that_is_not_prime(capsys, modulus):
     code, out, err = run(capsys, "sl2z", "--k", "1", "--p", "1", "--mod", modulus)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+#: the smallest 19-digit prime, and a product of two primes above 10^6
+BIG_PRIME = str(10 ** 18 + 3)
+BIG_SEMIPRIME = str(1_000_003 * 1_000_033)
+
+
+def test_sl2z_takes_a_19_digit_prime(capsys):
+    code, out, _ = run(capsys, "sl2z", "--k", "2", "--p", "1", "--mod", BIG_PRIME)
+    assert code == 0 and out.strip() == f"Z/{BIG_PRIME}"
+    code, out, _ = run(capsys, "sl2z", "--k", "2", "--p", "1", "--invert", BIG_PRIME)
+    assert code == 0 and out.strip() == f"Z[1/{BIG_PRIME}] + Z/2"
+
+
+@pytest.mark.parametrize("flag", ["--mod", "--invert"])
+def test_sl2z_rejects_a_composite_without_small_factors(capsys, flag):
+    code, out, err = run(capsys, "sl2z", "--k", "2", "--p", "1", flag, BIG_SEMIPRIME)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 

@@ -6,7 +6,7 @@ import pytest
 
 from genusone.amalgam import build_total_complex
 from genusone.exact_linalg import (CochainComplex, FgAbelianGroup,
-                                   IntegerMatrix, bareiss_rank, cohomology_at,
+                                   IntegerMatrix, _factor, _is_prime, bareiss_rank, cohomology_at,
                                    direct_sum, elementary_divisors, fp_rank,
                                    group_from_json, group_to_json,
                                    inverted_primes, localize, mod_p_dims,
@@ -49,12 +49,20 @@ def test_product_matches_triple_loop():
     rng = random.Random(11)
     big = 2 ** 200
     pools = ([0, 0, 0, 1, -1], [-1, 0, 1], [0, 0, big - 1, -big, 3 * big + 7])
-    for pool in pools:
+    mostly_zero = [0] * 12 + [1, -1, big]
+    pairs = [(pool, pool) for pool in pools] + [(pool, mostly_zero) for pool in pools]
+    for left, right in pairs:
         for _ in range(20):
             n, m, k = (rng.randint(1, 7) for _ in range(3))
-            a = IntegerMatrix([[rng.choice(pool) for _ in range(m)] for _ in range(n)])
-            b = IntegerMatrix([[rng.choice(pool) for _ in range(k)] for _ in range(m)])
-            assert (a * b).to_lists() == _naive_product(a, b)
+            a = [[rng.choice(left) for _ in range(m)] for _ in range(n)]
+            b = [[rng.choice(right) for _ in range(k)] for _ in range(m)]
+            # the same factors with every other row of a, and one row of b, zero
+            a_zeroed = [[0] * m if i % 2 else row for i, row in enumerate(a)]
+            zero_row = rng.randrange(m)
+            b_zeroed = [[0] * k if j == zero_row else row for j, row in enumerate(b)]
+            for lhs, rhs in ((a, b), (a_zeroed, b), (a, b_zeroed)):
+                lhs, rhs = IntegerMatrix(lhs), IntegerMatrix(rhs)
+                assert (lhs * rhs).to_lists() == _naive_product(lhs, rhs)
     for n, m in ((0, 3), (3, 0), (0, 0)):
         a = IntegerMatrix.zeros(n, m)
         b = IntegerMatrix.zeros(m, 2)
@@ -149,6 +157,25 @@ def test_fp_rank():
         fp_rank([[1]], 4)
 
 
+def test_primality_and_factoring():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [
+        n for n in range(-3, 5000) if trial_division(n)]
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError, match="cannot decide"):
+        _is_prime(3317044064679887385961981)
+    assert _factor(2 ** 10 * 3 * 999983 ** 2) == {2: 10, 3: 1, 999983: 2}
+    assert _factor(12 * (10 ** 18 + 3)) == {2: 2, 3: 1, 10 ** 18 + 3: 1}
+    assert _factor(1) == {}
+    with pytest.raises(ValueError, match="cannot factor"):
+        _factor(1_000_003 * 1_000_033)
+
+
 def test_group_normalization():
     assert FgAbelianGroup(0, [4, 3]) == FgAbelianGroup(0, [12])
     assert FgAbelianGroup(0, [2, 2, 2, 2, 3]).invariant_factors == (2, 2, 2, 6)
@@ -197,6 +224,90 @@ def test_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError):
         CochainComplex([1, 1, 1],
                        [IntegerMatrix([[2]]), IntegerMatrix([[3]])])
+
+
+def _with_one_more(matrix, i, j):
+    rows = matrix.to_lists()
+    rows[i][j] += 1
+    return IntegerMatrix(rows, cols=matrix.cols)
+
+
+@pytest.mark.parametrize("base", [None, 2, 3])
+def test_complex_rejects_a_defect_in_the_last_row_or_column(base):
+    # one entry of a random complex is raised by 1: in the last row of d1, or
+    # in the last column of d0, where it leaves d1 o d0 nonzero (mod base)
+    def nonzero(values):
+        return any(x % base if base else x for x in values)
+
+    rng = random.Random(3)
+    seen = {"last row": 0, "last column": 0}
+    while min(seen.values()) < 5:
+        cpx, _ = random_known_complex(rng)
+        d0, d1 = cpx.differentials
+        assert CochainComplex(cpx.ranks, [d0, d1], base=base).ranks == cpx.ranks
+        defects = []
+        if d1.rows:
+            defects += [("last row", d0, _with_one_more(d1, d1.rows - 1, j))
+                        for j in range(d0.rows) if nonzero(d0[j])]
+        if d0.cols:
+            defects += [("last column", _with_one_more(d0, i, d0.cols - 1), d1)
+                        for i in range(d1.cols) if nonzero(row[i] for row in d1)]
+        for where, lower, upper in defects[:2]:
+            assert any(nonzero(row) for row in _naive_product(upper, lower)), where
+            with pytest.raises(ValueError, match="d1 o d0"):
+                CochainComplex(cpx.ranks, [lower, upper], base=base)
+            seen[where] += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complex_reads_the_composite_mod_p(p):
+    # d1 o d0 = (p): zero over F_p although neither map is zero mod p
+    d0, d1 = IntegerMatrix([[1], [1]]), IntegerMatrix([[1, p - 1]])
+    assert CochainComplex([1, 2, 1], [d0, d1], base=p).differentials == (d0, d1)
+    with pytest.raises(ValueError, match="d1 o d0"):
+        CochainComplex([1, 2, 1], [d0, d1])
+
+
+def test_complex_checks_a_shared_differential_on_both_sides():
+    # d3 is d1, one object; d1 o d0 = 0 and d2 o d1 = 0, but d3 o d2 = E_01
+    def unit(i, j):
+        return IntegerMatrix([[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
+
+    d0, d1, d2 = unit(1, 1), unit(0, 0), unit(0, 1)
+    for base in (None, 2, 3):
+        assert CochainComplex([2] * 4, [d0, d1, d2], base=base).ranks == (2,) * 4
+        with pytest.raises(ValueError, match="d3 o d2"):
+            CochainComplex([2] * 5, [d0, d1, d2, d1], base=base)
+
+
+def test_complex_check_takes_each_distinct_differential_once(monkeypatch):
+    # D_3 is D_1 in the amalgam complex; the check forms no matrix product
+    diffs = build_total_complex(standard_coefficient_module("sym_k", 4), 4).complex.differentials
+    assert diffs[3] is diffs[1]
+    taken = []
+    sparse_rows = IntegerMatrix.sparse_rows
+    monkeypatch.setattr(IntegerMatrix, "sparse_rows",
+                        lambda self: taken.append(self) or sparse_rows(self))
+
+    def no_product(self, other):
+        raise AssertionError("the d o d check built a product")
+
+    monkeypatch.setattr(IntegerMatrix, "__mul__", no_product)
+    CochainComplex([10] + [15] * 4, diffs)
+    assert len(taken) == 3 and {id(d) for d in taken} == {id(d) for d in diffs}
+
+
+def test_complex_check_with_zero_width_terms():
+    # d o d through a zero term vanishes whatever the maps beside it
+    for ranks in ([0, 2, 0], [2, 0, 2], [0, 0, 0], [2, 3, 0], [0, 3, 2]):
+        diffs = [IntegerMatrix([[1] * ranks[n]] * ranks[n + 1], cols=ranks[n])
+                 for n in range(2)]
+        for base in (None, 2):
+            assert CochainComplex(ranks, diffs, base=base).ranks == tuple(ranks)
+    one = IntegerMatrix([[1]])
+    for base in (None, 2):
+        with pytest.raises(ValueError, match="d2 o d1"):
+            CochainComplex([0, 1, 1, 1], [IntegerMatrix.zeros(1, 0), one, one], base=base)
 
 
 def test_cohomology_of_multiplication_complex():
