@@ -1,12 +1,13 @@
 """Exact linear algebra over the integers and over prime fields.
 
 Matrices are dense ``IntegerMatrix`` values of arbitrary-precision Python
-integers.  Work that is proportional to the nonzero entries reads them as
-sparse rows of (column, value) pairs (``IntegerMatrix.sparse_rows``): the
-matrix product, the d o d check of a ``CochainComplex``, which forms the
-composite one row at a time and never builds it, and the unit-pivot
-reduction of a complex.  There is deliberately no floating point and no
-fixed-width arithmetic anywhere.  The central operations are
+integers.  Work that should cost in proportion to the nonzero entries
+reads a matrix as sparse rows: the matrix product and the d o d check of a
+``CochainComplex``, which forms the composite one row at a time and never
+builds it, take (column, value) pairs (``IntegerMatrix.sparse_rows``), and
+the unit-pivot reduction of a complex keeps its rows as dicts.  There is
+deliberately no floating point and no fixed-width arithmetic anywhere.
+The central operations are
 
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
   finite cochain complex, returned as an ``FgAbelianGroup``.  It reads the
