@@ -2,11 +2,12 @@
 moduli space, computed from first principles with verification suites.
 
 The core pipeline builds a mapping-cone total complex from the periodic
-resolutions of the cyclic pieces of the amalgam decomposition, reduces
-integer matrices to Smith normal form with certificates, and assembles
-the page bookkeeping for the moduli space on top.  Independent oracles
-(a truncated bar complex, a brute-force cocycle solver, sparse and
-determinantal elementary-divisor routines) cross-check every layer.
+resolutions of the cyclic pieces of the amalgam decomposition, checks
+d o d = 0 once, reduces it on its unit pivots, reads each H^p from integer
+ranks and elementary divisors, and assembles the page bookkeeping for the
+moduli space on top.  Independent oracles (a truncated bar complex, a
+brute-force cocycle solver, sparse and determinantal elementary-divisor
+routines) cross-check every layer.
 """
 
 from .amalgam import sl2z_cohomology, sl2z_cohomology_module

@@ -18,17 +18,17 @@ cohomology of this single complex avoids the extension ambiguities a long
 exact sequence would leave behind; in particular the Z/4 inside
 H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
-Every block of D_n depends only on the parity of n once n >= 1 (the
-periodic differentials and the restrictions alternate with period 2), so
-D_n = D_{n+2} for n >= 1, and ``build_total_complex`` holds one matrix
-for both.  ``sl2z_cohomology`` therefore builds one complex
-per (k, base), in degrees 0..4, which carries D_0..D_3, validates it once,
-and reads every p >= 4 as p' = 2 + p % 2: H^p needs D_{p-1} and D_p, and
-those are D_{p'-1} and D_{p'}.  The cached complex reduces itself on its
-unit pivots once and keeps one invariants record per reduced
-differential (``exact_linalg.CochainComplex.reduced``), so every H^p of a
-given (k, base) reads ranks and divisors computed once; there is no
-separate cache of groups.
+The blocks come straight from S, U and the action c of -I; the d o d
+check of the unreduced complex certifies the relations that make them the
+cyclic groups' blocks (``_parity_blocks``).  Each block of D_n depends only
+on the parity of n once n >= 1, so D_n = D_{n+2} for n >= 1 and one matrix
+serves both.  Each module gets one complex, in degrees 0..4, validated
+once; H^p for p >= 4 is read as H^{p'}, p' = 2 + p % 2, since H^p needs
+D_{p-1} and D_p, which are D_{p'-1} and D_{p'}.  ``sl2z_cohomology`` caches
+that complex per (k, base); it reduces itself on its unit pivots once and
+keeps one invariants record per reduced differential
+(``exact_linalg.CochainComplex.reduced``), so every H^p reads ranks and
+divisors computed once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .cyclic import CyclicAction, restriction_cochain_matrix
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
                            _is_prime, cohomology_at, inverted_primes, localize)
 from .group_modules import GroupModule, standard_coefficient_module
@@ -48,52 +47,46 @@ class AmalgamComplex:
     """Total complex of the amalgam mapping cone for one coefficient module."""
 
     complex: CochainComplex
-    module_name: str
-    module_rank: int
-    top_degree: int
-
-
-def _vertex_actions(module: GroupModule):
-    s = module.action("S")
-    u = module.action("U")
-    if "-I" in module.actions:
-        minus = module.actions["-I"]
-    else:
-        minus = s * s
-    base = module.base
-    return (CyclicAction(4, s, base), CyclicAction(6, u, base),
-            CyclicAction(2, minus, base))
 
 
 def _parity_blocks(module: GroupModule):
     """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B).
 
-    Over F_p every block is reduced, the negated ones included, so the
-    assembled D_n is reduced as built.
+    With c the action of -I (S^2 if the module has none), (dA, dB, dC, r_A,
+    r_B) is (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
+    (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Nothing is
+    checked here: D_1 o D_0 has S^2 - c and c - U^3 in its C row and
+    (1 + c)(S^2 - 1), (1 + c)(U^3 - 1) in its A and B rows, so the d o d
+    check of the unreduced complex passes only if S^2 = U^3 = c and
+    c^2 = 1 (D_2 o D_1 has c^2 - 1 in its C-C corner too).  Then every
+    block is that of ``cyclic.CyclicAction`` or ``restriction_cochain_matrix``
+    for <S>, <U> and <c>: the norms are 1 + S + S^2 + S^3 and
+    1 + U + ... + U^5.  Over F_p every block is reduced, as built.
     """
-    a, b, c = _vertex_actions(module)
+    base = module.base
 
-    def delta(action: CyclicAction, n: int) -> IntegerMatrix:
-        return action.coboundary() if n % 2 == 0 else action.norm()
+    def reduced(m: IntegerMatrix) -> IntegerMatrix:
+        return m if base is None else m.mod(base)
 
-    def negated(m: IntegerMatrix) -> IntegerMatrix:
-        return -m if module.base is None else (-m).mod(module.base)
-
-    return [(delta(a, n), delta(b, n), negated(delta(c, n - 1)),
-             restriction_cochain_matrix(a, 2, n),
-             negated(restriction_cochain_matrix(b, 3, n)))
-            for n in (0, 1)]
+    s, u = module.action("S"), module.action("U")
+    c = module.actions["-I"] if "-I" in module.actions else s * s
+    eye = IntegerMatrix.identity(module.rank)
+    res_a = reduced(eye + s)
+    res_b = reduced(eye + u + u * u)
+    norm_c = reduced(eye + c)
+    return [(reduced(s - eye), reduced(u - eye), reduced(-norm_c), eye, reduced(-eye)),
+            (reduced(norm_c * res_a), reduced(norm_c * res_b), reduced(eye - c),
+             res_a, reduced(-res_b))]
 
 
 def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     """Assemble the mapping-cone complex in degrees 0..top_degree.
 
-    top_degree must be at least 1 so that the complex carries at least one
-    differential; H^p needs degrees up to p + 1 so that both neighbouring
-    differentials exist.
+    top_degree must be at least 2: the check of D_1 o D_0 certifies the
+    relations (see ``_parity_blocks``).  H^p needs degrees up to p + 1.
     """
-    if top_degree < 1:
-        raise ValueError("top_degree must be at least 1")
+    if top_degree < 2:
+        raise ValueError("top_degree must be at least 2")
     blocks = _parity_blocks(module)
     r = module.rank
     zero = IntegerMatrix.zeros(r, r)
@@ -116,8 +109,12 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     diffs = []
     for n in range(top_degree):
         diffs.append(differential(n) if n < 3 else diffs[n - 2])
-    total = CochainComplex(ranks, diffs, base=module.base)
-    return AmalgamComplex(total, module.name, r, top_degree)
+    return AmalgamComplex(CochainComplex(ranks, diffs, base=module.base))
+
+
+def _folded(complex_: CochainComplex, p: int) -> FgAbelianGroup:
+    """H^p from a degree-4 complex: for p >= 4, D_{p-1} and D_p are D_1, D_2 or D_2, D_3."""
+    return cohomology_at(complex_, p if p < 4 else 2 + p % 2)
 
 
 @lru_cache(maxsize=None)
@@ -143,17 +140,14 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     inverted = inverted_primes(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")
-    if p >= 4:
-        # D_{p-1}, D_p are D_1, D_2 (p even) or D_2, D_3 (p odd)
-        p = 2 + p % 2
-    group = cohomology_at(_sym_complex(k, modulus).complex, p)
+    group = _folded(_sym_complex(k, modulus).complex, p)
     if inverted:
         group = localize(group, inverted)
     return group
 
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
-    """H^p(SL2(Z), M) for an arbitrary module carrying the generator actions."""
+    """H^p(SL2(Z), M) for a module with the generator actions, from its degree-4 complex."""
     if p < 0:
         raise ValueError("p must be non-negative")
-    return cohomology_at(build_total_complex(module, p + 2).complex, p)
+    return _folded(build_total_complex(module, 4).complex, p)

@@ -86,7 +86,7 @@ def periodic_complex(action: CyclicAction, top_degree: int) -> CochainComplex:
 
 
 def cyclic_cohomology(action: CyclicAction, n: int) -> FgAbelianGroup:
-    """H^n(Z/m, M) in canonical form.
+    """H^n(Z/m, M) in canonical form, for n >= 3 read from H^{1 + (n - 1) % 2}.
 
     >>> swap = CyclicAction(2, IntegerMatrix([[0, 1], [1, 0]]))
     >>> str(cyclic_cohomology(swap, 2))
@@ -97,6 +97,8 @@ def cyclic_cohomology(action: CyclicAction, n: int) -> FgAbelianGroup:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
+    if n >= 3:  # d_{n-1} and d_n alternate with period 2 from n = 1
+        n = 1 + (n - 1) % 2
     return cohomology_at(periodic_complex(action, n + 1), n)
 
 

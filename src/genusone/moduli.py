@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .amalgam import sl2z_cohomology
 from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _is_prime, direct_sum,
                            localize, mod_p_dims)
-from .group_modules import GeneratorSet, standard_generators, sym_power_matrix
+from .group_modules import standard_generators, sym_power_matrix
 
 #: mod-2 dimensions of the complement part in degrees 0..8, an external
 #: input to the degeneration argument, frozen rather than derived
@@ -153,7 +153,7 @@ class PTorsionWitness:
         return self.fixed_by_s and self.fixed_by_t and self.divisible_factor is not None
 
 
-def p_torsion_scan(q: int, generators: GeneratorSet | None = None) -> PTorsionWitness:
+def p_torsion_scan(q: int) -> PTorsionWitness:
     """Certify q-torsion in H^1(SL2(Z), Sym^(q+1)).
 
     Two witnesses: the coefficient vector of X^q Y - Y^q X is fixed mod q
@@ -164,7 +164,7 @@ def p_torsion_scan(q: int, generators: GeneratorSet | None = None) -> PTorsionWi
         raise ValueError("only odd primes are supported")
     if not _is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
-    gens = generators or standard_generators()
+    gens = standard_generators()
     k = q + 1
     vector = [0] * (k + 1)
     vector[1] = 1        # X^q Y

@@ -1,9 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from genusone.amalgam import (_sym_complex, build_total_complex, sl2z_cohomology,
-                              sl2z_cohomology_module)
-from genusone.exact_linalg import FgAbelianGroup, cohomology_at
-from genusone.group_modules import GroupModule, standard_coefficient_module
+import genusone.amalgam as amalgam
+from genusone.amalgam import (_parity_blocks, _sym_complex, build_total_complex,
+                              sl2z_cohomology, sl2z_cohomology_module)
+from genusone.cyclic import CyclicAction, restriction_cochain_matrix
+from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix, cohomology_at
+from genusone.group_modules import (S_MATRIX, T_MATRIX, U_MATRIX, GroupModule,
+                                    standard_coefficient_module)
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 Z = FgAbelianGroup(1)
 ZERO = FgAbelianGroup(0)
@@ -232,3 +240,122 @@ def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
         _sym_complex.cache_clear()
     assert "Z/12" in capsys.readouterr().out
     assert 0 < len(calls) <= 80
+
+
+def _cyclic_blocks(module):
+    # the parity blocks as the vertex groups' CyclicActions give them
+    s, u = module.action("S"), module.action("U")
+    minus = module.actions["-I"] if "-I" in module.actions else s * s
+    a, b, c = (CyclicAction(4, s, module.base), CyclicAction(6, u, module.base),
+               CyclicAction(2, minus, module.base))
+
+    def delta(action, n):
+        return action.coboundary() if n % 2 == 0 else action.norm()
+
+    def negated(m):
+        return -m if module.base is None else (-m).mod(module.base)
+
+    return [(delta(a, n), delta(b, n), negated(delta(c, n - 1)),
+             restriction_cochain_matrix(a, 2, n),
+             negated(restriction_cochain_matrix(b, 3, n)))
+            for n in (0, 1)]
+
+
+def test_factored_blocks_match_the_cyclic_actions():
+    modules = [standard_coefficient_module("sym_k", k, base=base)
+               for k in range(13) for base in (None, 2, 3)]
+    modules += [standard_coefficient_module("trivial_Z"),
+                standard_coefficient_module("f2_squared")]
+    for module in modules:
+        assert _parity_blocks(module) == _cyclic_blocks(module), module.name
+
+
+@pytest.mark.parametrize("base", [None, 3])
+@pytest.mark.parametrize("s,u", [
+    (T_MATRIX, U_MATRIX),   # S of infinite order, U^3 = -I != S^2
+    (S_MATRIX, T_MATRIX),   # U^3 = T^3 != -I = S^2
+])
+def test_relations_that_fail_only_in_the_complex_are_rejected(base, s, u):
+    # without -I the module checks only that S and U are invertible; the
+    # relations are left to the d o d check of the complex
+    module = GroupModule(2, {"S": s, "U": u}, base=base)
+    for top in (2, 3, 4):
+        with pytest.raises(ValueError, match="not a complex"):
+            build_total_complex(module, top)
+    with pytest.raises(ValueError, match="at least 2"):
+        build_total_complex(module, 1)
+
+
+@pytest.mark.parametrize("s,u,base", [
+    (T_MATRIX ** 3, T_MATRIX ** 2, None),   # S^2 = U^3 = T^6, c^2 = T^12
+    (T_MATRIX, T_MATRIX ** 4, 5),           # S^2 = U^3 = T^2 mod 5, c^2 = T^4
+])
+def test_a_central_element_of_infinite_order_is_rejected(s, u, base):
+    # S^2 = U^3 = c holds, so the C row of D_1 o D_0 vanishes; its A and B
+    # rows are (1 + c)(S^2 - 1) = c^2 - 1 and reject c^2 != 1 from degree 2
+    def reduced(m):
+        return m if base is None else m.mod(base)
+
+    assert reduced(s ** 2) == reduced(u ** 3)
+    assert not reduced(s ** 4).is_identity()
+    module = GroupModule(2, {"S": s, "U": u}, base=base)
+    for top in (2, 3, 4):
+        with pytest.raises(ValueError, match="d1 o d0 is not zero"):
+            build_total_complex(module, top)
+
+
+def test_sl2z_cohomology_constructs_no_cyclic_action(monkeypatch):
+    built = []
+    original = CyclicAction.__post_init__
+
+    def spy(self):
+        built.append(self.order)
+        original(self)
+
+    monkeypatch.setattr(CyclicAction, "__post_init__", spy)
+    _sym_complex.cache_clear()
+    try:
+        for modulus in (None, 2, 3):
+            sl2z_cohomology(10, 5, modulus=modulus)
+        sl2z_cohomology_module(standard_coefficient_module("trivial_Z"), 3)
+    finally:
+        _sym_complex.cache_clear()
+    assert built == []
+
+
+def test_module_route_builds_one_degree_four_complex(monkeypatch):
+    tops = []
+    original = amalgam.build_total_complex
+
+    def spy(module, top_degree):
+        tops.append(top_degree)
+        return original(module, top_degree)
+
+    monkeypatch.setattr(amalgam, "build_total_complex", spy)
+    modules = [standard_coefficient_module("sym_k", k, base=base)
+               for k in (3, 4, 7) for base in (None, 2)]
+    modules += [standard_coefficient_module("trivial_Z"),
+                standard_coefficient_module("f2_squared")]
+    for module in modules:
+        for p in range(10):
+            explicit = cohomology_at(original(module, p + 2).complex, p)
+            assert sl2z_cohomology_module(module, p) == explicit, (module.name, p)
+    assert set(tops) == {4}
+
+
+def test_engine_matches_the_benchmark_answer_key():
+    # bench/expected.json is read, never written: its integral cells come
+    # from the oracles and its F_2 dimensions from universal coefficients
+    key = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    cells = 0
+    for cell, (free, divisors) in key["integral"].items():
+        k, p = map(int, cell.split(","))
+        if k <= 28:
+            assert sl2z_cohomology(k, p) == FgAbelianGroup(free, divisors), cell
+            cells += 1
+    for cell, dim in key["mod2"].items():
+        k, p = map(int, cell.split(","))
+        group = sl2z_cohomology(k, p, modulus=2)
+        assert group.free_rank == 0 and set(group.invariant_factors) <= {2}, cell
+        assert len(group.invariant_factors) == dim, cell
+    assert cells >= 120 and key["mod2"]

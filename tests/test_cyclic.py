@@ -1,5 +1,6 @@
 import pytest
 
+import genusone.cyclic as cyclic
 from genusone.cyclic import (CyclicAction, cyclic_cohomology, periodic_complex,
                              restriction_cochain_matrix)
 from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix, cohomology_at
@@ -96,3 +97,23 @@ def test_restriction_is_a_chain_map():
             d_group = (act.coboundary() if n % 2 == 0 else act.norm())
             d_sub = (sub.coboundary() if n % 2 == 0 else sub.norm())
             assert d_sub * top == bottom * d_group
+
+
+def test_high_degrees_fold_onto_a_complex_of_degree_three(monkeypatch):
+    tops = []
+    original = cyclic.periodic_complex
+
+    def spy(action, top_degree):
+        tops.append(top_degree)
+        return original(action, top_degree)
+
+    monkeypatch.setattr(cyclic, "periodic_complex", spy)
+    actions = [CyclicAction(4, IntegerMatrix([[0, -1], [1, 0]])),
+               CyclicAction(6, IntegerMatrix([[0, -1], [1, 1]]), base=3),
+               CyclicAction(2, IntegerMatrix([[1, 0], [0, -1]])),
+               trivial(3, rank=2)]
+    for act in actions:
+        for n in range(13):
+            explicit = cohomology_at(original(act, n + 1), n)
+            assert cyclic_cohomology(act, n) == explicit, (act.order, n)
+    assert max(tops) == 3
