@@ -1,27 +1,20 @@
 """Exact linear algebra over the integers and over prime fields.
 
-Matrices are dense ``IntegerMatrix`` values of arbitrary-precision Python
-integers.  Work that should cost in proportion to the nonzero entries
-reads a matrix as sparse rows: the matrix product and the d o d check of a
-``CochainComplex``, which forms the composite one row at a time and never
-builds it, take (column, value) pairs (``IntegerMatrix.sparse_rows``), and
-the unit-pivot reduction of a complex keeps its rows as dicts.  There is
-deliberately no floating point and no fixed-width arithmetic anywhere.
+Matrices are ``IntegerMatrix`` values of arbitrary-precision Python
+integers, stored as sparse rows of their nonzero (column, value) pairs.
+Products, sums, blocks, the d o d check of a ``CochainComplex`` and the
+unit-pivot reduction work on that form; only the eliminations (Bareiss,
+the divisor pass, ``det``, ``smith_normal_form``) densify, locally.  There
+is deliberately no floating point and no fixed-width arithmetic anywhere.
 The central operations are
 
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
   finite cochain complex, returned as an ``FgAbelianGroup``.  It reads the
-  complex reduced on its unit pivots (``CochainComplex.reduced``): each
-  +-1 of a differential, or each nonzero residue over F_p, pairs two basis
-  vectors whose span is an acyclic summand, and cancelling the pair leaves
-  a homotopy equivalent complex (Gaussian elimination on chain complexes,
+  complex reduced on its unit pivots (``CochainComplex.reduced``), a
+  homotopy equivalent complex (Gaussian elimination on chain complexes,
   Kaczynski, Mrozek and Slusarek 1998; the argument is at
-  ``_reduce_on_units``).  Over F_p nothing is left of the differentials.
-  Over Z each reduced differential keeps one ``DifferentialRecord``: its
-  shape, its rank and a nonzero maximal minor N from one Bareiss pass,
-  and, once it is read as an incoming map, its elementary divisors from
-  that N.  The torsion of H^n needs only the divisors of d_{n-1}, because
-  a kernel is a saturated sublattice;
+  ``_reduce_on_units``), in which each differential keeps one
+  ``DifferentialRecord`` of its rank and elementary divisors;
 * ``bareiss_rank``: rank and a nonzero maximal minor N by fraction-free
   elimination, whose entries are minors and so stay within Hadamard's bound;
 * ``elementary_divisors``: the divisors above 1 from a diagonal form modulo
@@ -39,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
 
@@ -104,63 +98,79 @@ def _factor(n: int) -> dict[int, int]:
 
 
 class IntegerMatrix:
-    """Immutable dense matrix of Python ints.
+    """Immutable sparse matrix of Python ints.
+
+    Each row is stored as the flat tuple (c_0, v_0, c_1, v_1, ...) of its
+    (column, value) pairs with value != 0, columns ascending
+    (``sparse_rows``; ``_pairs`` reads the pairs back).  Flat, a nonzero
+    entry costs two references rather than a tuple of its own.  The public
+    constructor takes dense rows and checks their shape and entry types
+    once; every matrix computed here is built from stored rows and not
+    checked again.  Indexing, iteration and ``to_lists`` give dense rows.
 
     Degenerate shapes (zero rows or zero columns) are allowed and behave
     correctly under multiplication; they show up as the boundary maps of
     truncated complexes.
 
-    >>> m = IntegerMatrix([[1, 2], [3, 4]])
-    >>> (m * m)[0]
-    (7, 10)
+    >>> m = IntegerMatrix([[1, 2], [3, 0]])
+    >>> (m * m)[0], m.sparse_rows()
+    ((7, 2), ((0, 1, 1, 2), (0, 3)))
     >>> IntegerMatrix.identity(2) * m == m
     True
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
         table = [tuple(row) for row in data]
-        self.rows = len(table)
         if table:
-            width = len(table[0])
-            if cols is not None and cols != width:
+            if cols is not None and cols != len(table[0]):
                 raise ValueError("explicit column count disagrees with row data")
-            self.cols = width
-        else:
-            if cols is None:
-                raise ValueError("a matrix with no rows needs an explicit column count")
-            self.cols = cols
+            cols = len(table[0])
+        elif cols is None:
+            raise ValueError("a matrix with no rows needs an explicit column count")
         for row in table:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged rows")
             for x in row:
                 if not isinstance(x, int):
                     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
-        self._data = tuple(table)
+        self.rows, self.cols = len(table), cols
+        self._rows = tuple(map(_stored_row, table))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _stored(cls, rows: tuple, cols: int) -> "IntegerMatrix":
+        """A matrix of stored rows, unchecked."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._rows = len(rows), cols, rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._stored(tuple((i, 1) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._stored(((),) * rows, cols)
 
     @classmethod
     def from_blocks(cls, grid: list[list["IntegerMatrix"]]) -> "IntegerMatrix":
         """Assemble a block matrix; blocks in a row share heights, in a column widths."""
-        data: list[list[int]] = []
+        widths = [b.cols for b in grid[0]] if grid else []
+        offsets = [sum(widths[:t]) for t in range(len(widths))]
+        rows = []
         for block_row in grid:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ValueError("inconsistent block heights")
+            if [b.cols for b in block_row] != widths:
+                raise ValueError("inconsistent block widths")
             for i in range(height):
-                data.append(tuple(x for b in block_row for x in b[i]))
-        cols = sum(b.cols for b in grid[0]) if grid else 0
-        return cls(data, cols=cols)
+                rows.append(tuple(chain.from_iterable(_shifted(b._rows[i], offset)
+                                                      for b, offset in zip(block_row, offsets))))
+        return cls._stored(tuple(rows), sum(widths))
 
     # -- access ------------------------------------------------------------
 
@@ -169,31 +179,33 @@ class IntegerMatrix:
         return (self.rows, self.cols)
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
+        return tuple(_dense(self._rows[i], self.cols))
 
     def __iter__(self):
-        return iter(self._data)
+        return (tuple(_dense(row, self.cols)) for row in self._rows)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
+        return [_dense(row, self.cols) for row in self._rows]
 
-    def sparse_rows(self) -> list[list[tuple[int, int]]]:
-        """Each row as its (column, value) pairs with value != 0, in column order."""
-        return [[(j, x) for j, x in enumerate(row) if x] for row in self._data]
+    def sparse_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The stored rows: each the flat tuple of its nonzero (column, value) pairs."""
+        return self._rows
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntegerMatrix([[x * other for x in r] for r in self._data],
-                                 cols=self.cols)
+            if not other:
+                return IntegerMatrix.zeros(self.rows, self.cols)
+            return IntegerMatrix._stored(tuple(_scaled(row, other) for row in self._rows),
+                                         self.cols)
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        right = other.sparse_rows()
-        return IntegerMatrix((_row_product(row, right, other.cols)
-                              for row in self.sparse_rows()), cols=other.cols)
+        right, width = other._rows, other.cols
+        return IntegerMatrix._stored(tuple(_stored_row(_row_product(row, right, width))
+                                           for row in self._rows), width)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -201,16 +213,20 @@ class IntegerMatrix:
         return NotImplemented
 
     def __add__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntegerMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self._data, other._data)],
-                             cols=self.cols)
+        return IntegerMatrix._stored(tuple(_row_sum(row, other_row, self.cols) for row, other_row
+                                           in zip(self._rows, other._rows)), self.cols)
 
     def __sub__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return IntegerMatrix([[-x for x in r] for r in self._data], cols=self.cols)
+        return self * -1
 
     def __pow__(self, k: int):
         if self.rows != self.cols:
@@ -228,15 +244,18 @@ class IntegerMatrix:
         return result
 
     def transpose(self) -> "IntegerMatrix":
-        if self.rows == 0:
-            return IntegerMatrix([[] for _ in range(self.cols)], cols=0)
-        return IntegerMatrix(list(zip(*self._data)), cols=self.rows)
+        columns = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, x in _pairs(row):
+                columns[j] += (i, x)
+        return IntegerMatrix._stored(tuple(map(tuple, columns)), self.rows)
 
     def mod(self, p: int) -> "IntegerMatrix":
         """Entries reduced into [0, p); a matrix already reduced is returned as is."""
-        if all(min(r, default=0) >= 0 and max(r, default=0) < p for r in self._data):
+        if all(0 < x < p for row in self._rows for x in row[1::2]):
             return self
-        return IntegerMatrix(([x % p for x in r] for r in self._data), cols=self.cols)
+        return IntegerMatrix._stored(tuple(tuple(chain.from_iterable(
+            (j, r) for j, x in _pairs(row) if (r := x % p))) for row in self._rows), self.cols)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -262,35 +281,75 @@ class IntegerMatrix:
         return sign * m[n - 1][n - 1]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
+        return not any(self._rows)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0) for i, r in enumerate(self._data) for j, x in enumerate(r))
+        return self.rows == self.cols and all(row == (i, 1) for i, row in enumerate(self._rows))
 
     def __eq__(self, other):
         return (isinstance(other, IntegerMatrix) and self.cols == other.cols
-                and self._data == other._data)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.cols, self._data))
+        return hash((self.cols, self._rows))
 
     def __repr__(self):
-        return f"IntegerMatrix({[list(r) for r in self._data]!r})"
+        return f"IntegerMatrix({self.to_lists()!r})"
 
 
-def _row_product(row: list[tuple[int, int]], right: list[list[tuple[int, int]]],
-                 width: int) -> list[int]:
-    """The row vector ``row`` times the matrix ``right``, both as sparse rows.
+def _pairs(row: tuple):
+    """The (column, value) pairs of a stored row."""
+    entries = iter(row)
+    return zip(entries, entries)
+
+
+def _stored_row(dense) -> tuple:
+    """A dense row as a stored row."""
+    return tuple(chain.from_iterable(compress(enumerate(dense), dense)))
+
+
+def _dense(row: tuple, width: int) -> list[int]:
+    """A stored row as a dense list of ``width`` entries."""
+    out = [0] * width
+    for j, x in _pairs(row):
+        out[j] = x
+    return out
+
+
+def _shifted(row: tuple, offset: int):
+    """A stored row with every column moved right by ``offset``."""
+    out = list(row)
+    out[::2] = [j + offset for j in row[::2]]
+    return out
+
+
+def _scaled(row: tuple, factor: int) -> tuple:
+    """A stored row times a nonzero integer."""
+    out = list(row)
+    out[1::2] = [x * factor for x in row[1::2]]
+    return tuple(out)
+
+
+def _row_product(row: tuple, right: tuple, width: int) -> list[int]:
+    """The row vector ``row`` times the matrix ``right``, both as stored rows.
 
     Row i of A * B is the sum of a_ij * (row j of B) over the nonzero a_ij,
     so a product a_ij * b_jc is formed only when both factors are nonzero.
     """
     acc = [0] * width
-    for j, a in row:
-        for c, v in right[j]:
+    for j, a in _pairs(row):
+        entries = iter(right[j])
+        for c, v in zip(entries, entries):
             acc[c] += a * v
     return acc
+
+
+def _row_sum(row: tuple, other: tuple, width: int) -> tuple:
+    """The sum of two stored rows."""
+    acc = _dense(row, width)
+    for c, v in _pairs(other):
+        acc[c] += v
+    return _stored_row(acc)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -324,102 +383,53 @@ def _snf_transforms(a: IntegerMatrix):
             mat[i] = [x * p + y * q for p, q in zip(ri, rk)]
             mat[k] = [z * p + w * q for p, q in zip(ri, rk)]
 
-    def row_add(i, k, q):
-        for mat in (d, u):
-            rk = mat[k]
-            mat[i] = [p + q * r for p, r in zip(mat[i], rk)]
-
-    def row_swap(i, k):
-        for mat in (d, u):
-            mat[i], mat[k] = mat[k], mat[i]
-
-    def row_negate(i):
-        for mat in (d, u):
-            mat[i] = [-x for x in mat[i]]
-
-    def col_add(j, k, q):
-        # col_j += q * col_k on d and v
-        for mat in (d, v):
-            for row in mat:
-                row[j] += q * row[k]
-
-    def col_swap(j, k):
-        for mat in (d, v):
-            for row in mat:
-                row[j], row[k] = row[k], row[j]
-
     def col_combine(j, k, x, y, z, w):
-        # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k), det(x*w - y*z) == 1
+        # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k); det must be +-1
         for mat in (d, v):
             for row in mat:
                 cj, ck = row[j], row[k]
                 row[j] = x * cj + y * ck
                 row[k] = z * cj + w * ck
 
-    def clear_column(t):
-        for i in range(t + 1, m):
-            b = d[i][t]
-            if b == 0:
+    def clear(t, count, entry, combine):
+        # zero entry(i), i > t, of row or column t against the pivot d[t][t]
+        for i in range(t + 1, count):
+            b, p = entry(i), d[t][t]
+            if not b:
                 continue
-            p = d[t][t]
             if b % p == 0:
-                row_add(i, t, -(b // p))
+                combine(i, t, 1, -(b // p), 0, 1)
             else:
                 g, x, y = _xgcd(p, b)
-                row_combine(t, i, x, y, -(b // g), p // g)
+                combine(t, i, x, y, -(b // g), p // g)
 
-    def clear_row(t):
-        for j in range(t + 1, n):
-            b = d[t][j]
-            if b == 0:
-                continue
-            p = d[t][t]
-            if b % p == 0:
-                col_add(j, t, -(b // p))
-            else:
-                g, x, y = _xgcd(p, b)
-                col_combine(t, j, x, y, -(b // g), p // g)
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # pick the smallest nonzero entry of the trailing submatrix as pivot
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pos = (i, j)
+    for t in range(min(m, n)):
+        # the smallest nonzero entry of the trailing submatrix is the pivot
+        pos = min(((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]),
+                  default=None)
         if pos is None:
             break
-        if pos[0] != t:
-            row_swap(t, pos[0])
-        if pos[1] != t:
-            col_swap(t, pos[1])
+        _, i, j = pos
+        if i != t:
+            row_combine(t, i, 0, 1, 1, 0)
+        if j != t:
+            col_combine(t, j, 0, 1, 1, 0)
         while True:
-            clear_column(t)
-            clear_row(t)
-            if all(d[i][t] == 0 for i in range(t + 1, m)):
-                # pivot must divide the whole trailing submatrix or the
-                # diagonal will not form a chain
-                offender = None
-                piv = d[t][t]
-                for i in range(t + 1, m):
-                    row = d[i]
-                    for j in range(t + 1, n):
-                        if row[j] % piv:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_add(t, offender, 1)
+            clear(t, m, lambda i: d[i][t], row_combine)
+            clear(t, n, lambda j: d[t][j], col_combine)
+            if any(d[i][t] for i in range(t + 1, m)):
+                continue
+            # the pivot must divide the trailing submatrix, or the diagonal
+            # will not form a chain
+            piv = d[t][t]
+            offender = next((i for i in range(t + 1, m) if any(x % piv for x in d[i][t + 1:])),
+                            None)
+            if offender is None:
+                break
+            row_combine(t, offender, 1, 1, 0, 1)
         if d[t][t] < 0:
-            row_negate(t)
-        t += 1
+            for mat in (d, u):
+                mat[t] = [-x for x in mat[t]]
     return u, d, v
 
 
@@ -436,13 +446,13 @@ def smith_normal_form(a: IntegerMatrix):
     vm = IntegerMatrix(v, cols=a.cols)
     if um * a * vm != dm:
         raise RuntimeError("Smith normal form certificate failed: U*A*V != D")
-    diag = [dm[i][i] for i in range(min(a.rows, a.cols))]
+    stored = dm.sparse_rows()
+    if any(j != i for i, row in enumerate(stored) for j in row[::2]):
+        raise RuntimeError("Smith normal form certificate failed: off-diagonal entry")
+    diag = [row[1] if row else 0 for row in stored[:a.cols]]
     for i in range(len(diag) - 1):
         if diag[i] < 0 or (diag[i + 1] % diag[i] if diag[i] else diag[i + 1]):
             raise RuntimeError("Smith normal form certificate failed: bad diagonal")
-    off = any(dm[i][j] for i in range(a.rows) for j in range(a.cols) if i != j)
-    if off:
-        raise RuntimeError("Smith normal form certificate failed: off-diagonal entry")
     return um, dm, vm
 
 
@@ -455,7 +465,7 @@ def bareiss_rank(a: IntegerMatrix) -> tuple[int, int]:
     nonzero r x r minor, hence a multiple of the product of the elementary
     divisors.  The zero matrix has r = 0 and N = 1.
     """
-    rows = [list(row) for row in a if any(row)]
+    rows = [_dense(row, a.cols) for row in a.sparse_rows() if row]
     rank, prev = 0, 1
     while rows and rows[0]:
         live = [i for i, row in enumerate(rows) if row[0]]
@@ -491,7 +501,7 @@ def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
     replaced by a gcd, so each stage ends; no divisibility chain is enforced.
     Diagonal positions past the returned pivots are 0 modulo ``modulus``.
     """
-    m = [[x % modulus for x in row] for row in a]
+    m = [[x % modulus for x in _dense(row, a.cols)] for row in a.sparse_rows()]
     m = [row for row in m if any(row)]
     pivots = []
     while m:
@@ -637,13 +647,6 @@ class FgAbelianGroup:
     def torsion_order(self) -> int:
         return math.prod(self.invariant_factors)
 
-    def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        orders = list(self.invariant_factors)
-        for g in others:
-            orders.extend(g.invariant_factors)
-        return FgAbelianGroup(rank, orders)
-
     # -- presentation --------------------------------------------------------
 
     def render(self, free_symbol: str = "Z") -> str:
@@ -671,9 +674,8 @@ class FgAbelianGroup:
 
 
 def direct_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
-    if not groups:
-        return FgAbelianGroup()
-    return groups[0].direct_sum(*groups[1:])
+    return FgAbelianGroup(sum(g.free_rank for g in groups),
+                          [f for g in groups for f in g.invariant_factors])
 
 
 def inverted_primes(inverted: Iterable[int]) -> tuple[int, ...]:
@@ -706,20 +708,11 @@ def localize(group: FgAbelianGroup, inverted: Iterable[int]) -> FgAbelianGroup:
     return FgAbelianGroup(group.free_rank, stripped)
 
 
-class ModPDims(tuple):
+class ModPDims(NamedTuple):
     """Pair (dim of G tensor F_p, dim of the p-torsion G[p])."""
-    __slots__ = ()
 
-    def __new__(cls, dim_tensor, dim_torsion):
-        return super().__new__(cls, (dim_tensor, dim_torsion))
-
-    @property
-    def dim_tensor(self):
-        return self[0]
-
-    @property
-    def dim_torsion(self):
-        return self[1]
+    dim_tensor: int
+    dim_torsion: int
 
 
 def mod_p_dims(group: FgAbelianGroup, p: int) -> ModPDims:
@@ -752,17 +745,16 @@ class CochainComplex:
     The complex is zero outside the stored range.  d(n+1) o d(n) == 0 is
     checked at construction and construction fails otherwise.
 
-    The check takes each distinct differential as sparse rows once (the
-    amalgam complex passes D_1 and D_3 as one object) and forms each row
-    of d(n+1) o d(n) as the sum of a * (row j of d(n)) over the nonzero
-    entries a = d(n+1)[i][j], in exact integer arithmetic.  A row fails if
-    it is nonzero over Z, or has an entry not divisible by p over F_p; it is
-    dropped once seen to vanish, so the product matrix is never built.
-    Skipping zero entries changes no sum, so the check is exactly the test
-    that the product is zero.  It stays on these unreduced differentials:
-    the unit-pivot reduction that ``cohomology_at`` reads from (``reduced``)
-    relies on d o d = 0 to drop a row, so a defect can vanish from the
-    reduced complex (see ``_reduce_on_units``).
+    The check forms each row of d(n+1) o d(n) as the sum of a * (row j of
+    d(n)) over the nonzero entries a = d(n+1)[i][j], in exact integer
+    arithmetic.  A row fails if it is nonzero over Z, or has an entry not
+    divisible by p over F_p; it is dropped once seen to vanish, so the
+    product matrix is never built.  Skipping zero entries changes no sum,
+    so the check is exactly the test that the product is zero.  It stays
+    on these unreduced differentials: the unit-pivot reduction that
+    ``cohomology_at`` reads from (``reduced``) relies on d o d = 0 to drop
+    a row, so a defect can vanish from the reduced complex (see
+    ``_reduce_on_units``).
 
     ``base`` is None for Z or a prime p for F_p; over F_p the entries are
     stored reduced.
@@ -786,14 +778,9 @@ class CochainComplex:
             if d.shape != (ranks[n + 1], ranks[n]):
                 raise ValueError(f"differential {n} has shape {d.shape}, "
                                  f"expected {(ranks[n + 1], ranks[n])}")
-        # keyed by identity, so a differential passed twice is converted once
-        sparse = {}
-        for d in diffs:
-            if id(d) not in sparse:
-                sparse[id(d)] = d.sparse_rows()
         for n in range(len(diffs) - 1):
-            right = sparse[id(diffs[n])]
-            for row in sparse[id(diffs[n + 1])]:
+            right = diffs[n].sparse_rows()
+            for row in diffs[n + 1].sparse_rows():
                 acc = _row_product(row, right, ranks[n])
                 if any(acc) and (base is None or any(x % base for x in acc)):
                     raise ValueError(f"d{n + 1} o d{n} is not zero; not a complex")
@@ -897,18 +884,18 @@ def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix,
     Cancelling in d_n only deletes entries of d_{n-1} and d_{n+1}, so no
     unit is left anywhere at the end.  The deletions are bookkeeping on the
     surviving bases: d_{n+1} is read without its cancelled columns, and
-    d_{n-1}, kept as dense rows after its own pass, drops its rows during
-    the pass over d_n and is recorded after it.  Over F_p every entry is a
+    d_{n-1}, kept as stored rows renumbered after its own pass, drops its
+    rows during the pass over d_n and is recorded after it.  Over F_p every entry is a
     unit, so every reduced differential is zero.
     """
     alive = [set(range(r)) for r in ranks]
     records = []
-    lower = None  # d_{n-1} after its pass, as dense rows {i: row}
+    lower = None  # d_{n-1} after its pass, as stored rows {i: row}
     for n, d in enumerate(differentials):
         live = alive[n]
         rows = {}
-        for i, row in enumerate(d):
-            entries = {j: v for j, v in enumerate(row) if v and j in live}
+        for i, row in enumerate(d.sparse_rows()):
+            entries = {j: v for j, v in _pairs(row) if j in live}
             if entries:
                 rows[i] = entries
         for i, j in _cancel_units(rows, base):
@@ -919,12 +906,13 @@ def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix,
         if base is not None and rows:
             raise RuntimeError("unit reduction over F_p left a nonzero differential")
         if lower is not None:
-            records.append(DifferentialRecord(IntegerMatrix(lower.values(),
-                                                            cols=len(alive[n - 1]))))
-        lower = _dense_rows(rows, alive[n + 1], alive[n])
+            records.append(DifferentialRecord(IntegerMatrix._stored(tuple(lower.values()),
+                                                                    len(alive[n - 1]))))
+        lower = _renumbered(rows, alive[n + 1], alive[n])
     if lower is None:
         return ReducedComplex(ranks, ())
-    records.append(DifferentialRecord(IntegerMatrix(lower.values(), cols=len(alive[-2]))))
+    records.append(DifferentialRecord(IntegerMatrix._stored(tuple(lower.values()),
+                                                            len(alive[-2]))))
     return ReducedComplex((records[0].shape[1],) + tuple(r.shape[0] for r in records),
                           tuple(records))
 
@@ -981,23 +969,14 @@ def _cancel_units(rows: dict, base: int | None):
         yield i, j
 
 
-def _dense_rows(rows: dict, row_basis: set, col_basis: set) -> dict:
-    """Sparse rows as dense tuples {i: row} over the surviving bases, in order.
-
-    Zero rows share one tuple, and ``IntegerMatrix`` keeps tuples as they are.
-    """
+def _renumbered(rows: dict, row_basis: set, col_basis: set) -> dict:
+    """Rows {i: {j: v}} as stored rows {i: row}, columns numbered in ``col_basis`` order."""
     position = {j: t for t, j in enumerate(sorted(col_basis))}
-    zero = (0,) * len(position)
-    dense = {}
+    renumbered = {}
     for i in sorted(row_basis):
-        if i in rows:
-            row = list(zero)
-            for j, v in rows[i].items():
-                row[position[j]] = v
-            dense[i] = tuple(row)
-        else:
-            dense[i] = zero
-    return dense
+        pairs = sorted((position[j], v) for j, v in rows.get(i, {}).items())
+        renumbered[i] = tuple(chain.from_iterable(pairs))
+    return renumbered
 
 
 def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
@@ -1012,12 +991,9 @@ def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     Over Z, ker(d_n) is saturated in C^n: C^n/ker(d_n) embeds in the free
     group C^{n+1}.  So the torsion of ker(d_n)/im(d_{n-1}) is the torsion of
     coker(d_{n-1}), whose invariant factors are the elementary divisors of
-    d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}.  One
-    fraction-free elimination per reduced differential gives its rank and
-    a nonzero maximal minor N; the divisors come from a diagonal form
-    modulo N, which they divide, so that pass keeps every entry below N.
-    Bareiss entries are themselves minors, bounded by Hadamard's
-    inequality, and no unimodular transform is carried.
+    d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}; each
+    ``DifferentialRecord`` gives them from one Bareiss pass and a diagonal
+    form modulo its minor N, with no unimodular transform carried.
     """
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")

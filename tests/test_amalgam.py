@@ -8,8 +8,10 @@ from genusone.amalgam import (_parity_blocks, _sym_complex, build_total_complex,
                               sl2z_cohomology, sl2z_cohomology_module)
 from genusone.cyclic import CyclicAction, restriction_cochain_matrix
 from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix, cohomology_at
-from genusone.group_modules import (S_MATRIX, T_MATRIX, U_MATRIX, GroupModule,
-                                    standard_coefficient_module)
+from genusone.group_modules import (MINUS_IDENTITY, S_MATRIX, T_MATRIX, U_MATRIX,
+                                    GroupModule, standard_coefficient_module,
+                                    sym_power_matrix)
+from genusone.oracles import sparse_diagonal
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -154,6 +156,40 @@ def test_module_interface_matches_sym_path():
         mod = standard_coefficient_module("sym_k", k=k)
         for p in range(3):
             assert sl2z_cohomology_module(mod, p) == sl2z_cohomology(k, p)
+
+
+def _kronecker(p, m):
+    # rows and columns indexed by (c, i) -> c * m.rows + i
+    return IntegerMatrix([[x * y for x in p_row for y in m_row]
+                          for p_row in p for m_row in m.to_lists()])
+
+
+def test_shapiro_through_the_commutator_subgroup():
+    # S -> 3, U -> 2 maps SL2(Z) onto Z/12 with kernel the commutator
+    # subgroup, free on A and B.  Shapiro's lemma gives H^p(SL2(Z), M_k) =
+    # H^p(free group, Sym^k) for the permutation module M_k = Z[Z/12] (x)
+    # Sym^k, so H^{>= 2} = 0, H^0 = (Sym^k)^{<A, B>} and H^1 is the
+    # cokernel of m -> ((A - 1)m, (B - 1)m), read from the oracle
+    a, b = IntegerMatrix([[2, 1], [1, 1]]), IntegerMatrix([[1, 1], [1, 2]])
+    generators = {"S": (3, S_MATRIX), "U": (2, U_MATRIX), "-I": (6, MINUS_IDENTITY)}
+    h1 = []
+    for k in range(7):
+        actions = {}
+        for name, (shift, g) in generators.items():
+            translation = [[int((c + shift) % 12 == d) for c in range(12)] for d in range(12)]
+            actions[name] = _kronecker(translation, sym_power_matrix(g, k))
+        module = GroupModule(12 * (k + 1), actions)
+        eye = IntegerMatrix.identity(k + 1)
+        coboundary = IntegerMatrix((sym_power_matrix(a, k) - eye).to_lists()
+                                   + (sym_power_matrix(b, k) - eye).to_lists())
+        divisors = sparse_diagonal(coboundary)
+        groups = [sl2z_cohomology_module(module, p) for p in range(6)]
+        assert groups[0] == FgAbelianGroup(k + 1 - len(divisors)) == (Z if k == 0 else ZERO), k
+        assert groups[1] == FgAbelianGroup(2 * (k + 1) - len(divisors), divisors), k
+        assert groups[2:] == [ZERO] * 4, k
+        h1.append(str(groups[1]))
+    assert h1 == ["Z^2", "Z^2", "Z^3 + Z/2", "Z^4 + Z/2 + Z/2", "Z^5 + Z/3 + Z/12",
+                  "Z^6 + Z/2 + Z/2", "Z^7 + Z/2 + Z/4 + Z/60"]
 
 
 def test_module_interface_f2_squared():

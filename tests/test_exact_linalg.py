@@ -20,6 +20,21 @@ def random_matrix(rng, rows, cols, bound=9):
                           for _ in range(rows)])
 
 
+def assert_stored(m, want=None, p=None):
+    """``m`` keeps the stored form (per row the flat tuple of its (column,
+    value) pairs: columns ascending, no zero value, values in [1, p) over
+    F_p) and reads as ``want``."""
+    rows = m.sparse_rows()
+    assert type(rows) is tuple and len(rows) == m.rows
+    for row in rows:
+        assert type(row) is tuple and len(row) % 2 == 0
+        columns, values = row[::2], row[1::2]
+        assert list(columns) == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
+        assert all(x != 0 and (p is None or 0 < x < p) for x in values), row
+    if want is not None:
+        assert m.to_lists() == want
+
+
 def test_matrix_basics():
     a = IntegerMatrix([[1, 2], [3, 4]])
     b = IntegerMatrix([[0, 1], [1, 0]])
@@ -29,6 +44,12 @@ def test_matrix_basics():
     assert a.det() == -2
     assert (a ** 0) == IntegerMatrix.identity(2)
     assert a.mod(2).to_lists() == [[1, 0], [1, 0]]
+    assert [list(row) for row in a] == a.to_lists() and a[1] == (3, 4)
+    for other in (1, 1.5, None):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
 
 
 def test_mod_keeps_a_reduced_matrix():
@@ -62,14 +83,35 @@ def test_product_matches_triple_loop():
             b_zeroed = [[0] * k if j == zero_row else row for j, row in enumerate(b)]
             for lhs, rhs in ((a, b), (a_zeroed, b), (a, b_zeroed)):
                 lhs, rhs = IntegerMatrix(lhs), IntegerMatrix(rhs)
-                assert (lhs * rhs).to_lists() == _naive_product(lhs, rhs)
+                assert_stored(lhs * rhs, _naive_product(lhs, rhs))
+            # every other result keeps the stored form too
+            x, y = IntegerMatrix(a), IntegerMatrix(a_zeroed)
+            assert_stored(x + y, [[s + t for s, t in zip(r, q)] for r, q in zip(a, a_zeroed)])
+            assert_stored(x - x, [[0] * m for _ in range(n)])
+            assert_stored(y - x, [[t - s for s, t in zip(r, q)] for r, q in zip(a, a_zeroed)])
+            assert_stored(-x, [[-s for s in r] for r in a])
+            assert_stored(x * 3, [[3 * s for s in r] for r in a])
+            assert_stored(x * 0, [[0] * m for _ in range(n)])
+            assert_stored(x.transpose(), [list(col) for col in zip(*a)])
+            for p in (2, 3, 7):
+                assert_stored(x.mod(p), [[s % p for s in r] for r in a], p)
+            assert_stored(IntegerMatrix.from_blocks([[x, y], [y, x]]),
+                          [r + q for r, q in zip(a, a_zeroed)]
+                          + [q + r for r, q in zip(a, a_zeroed)])
     for n, m in ((0, 3), (3, 0), (0, 0)):
         a = IntegerMatrix.zeros(n, m)
         b = IntegerMatrix.zeros(m, 2)
         assert (a * b).shape == (n, 2)
-        assert (a * b).to_lists() == _naive_product(a, b)
+        assert_stored(a * b, _naive_product(a, b))
         c = IntegerMatrix.zeros(2, n)
         assert (c * a).shape == (2, m) and (c * a).is_zero()
+        assert_stored(a.transpose(), [[0] * n for _ in range(m)])
+        assert a.transpose().shape == (m, n)
+    for n in range(4):
+        assert_stored(IntegerMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+        assert_stored(IntegerMatrix.zeros(n, 2), [[0, 0] for _ in range(n)])
+    with pytest.raises(ValueError, match="widths"):
+        IntegerMatrix.from_blocks([[IntegerMatrix.zeros(1, 2)], [IntegerMatrix.zeros(1, 3)]])
     with pytest.raises(ValueError):
         IntegerMatrix.zeros(2, 3) * IntegerMatrix.zeros(2, 3)
 
@@ -284,17 +326,32 @@ def test_complex_check_takes_each_distinct_differential_once(monkeypatch):
     # D_3 is D_1 in the amalgam complex; the check forms no matrix product
     diffs = build_total_complex(standard_coefficient_module("sym_k", 4), 4).complex.differentials
     assert diffs[3] is diffs[1]
-    taken = []
-    sparse_rows = IntegerMatrix.sparse_rows
-    monkeypatch.setattr(IntegerMatrix, "sparse_rows",
-                        lambda self: taken.append(self) or sparse_rows(self))
 
     def no_product(self, other):
         raise AssertionError("the d o d check built a product")
 
     monkeypatch.setattr(IntegerMatrix, "__mul__", no_product)
     CochainComplex([10] + [15] * 4, diffs)
-    assert len(taken) == 3 and {id(d) for d in taken} == {id(d) for d in diffs}
+
+
+def test_internal_results_skip_the_public_constructor(monkeypatch):
+    # entries are checked where a matrix enters through IntegerMatrix(...);
+    # the blocks, the complex and its reduced records are built unchecked
+    modules = [standard_coefficient_module("sym_k", 19, base=base) for base in (None, 2)]
+    want = [[cohomology_at(build_total_complex(module, 4).complex, p) for p in range(5)]
+            for module in modules]
+    calls = []
+    init = IntegerMatrix.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntegerMatrix, "__init__", spy)
+    for module, groups in zip(modules, want):
+        cpx = build_total_complex(module, 4).complex
+        assert [cohomology_at(cpx, p) for p in range(5)] == groups
+    assert calls == []
 
 
 def test_complex_check_with_zero_width_terms():
@@ -396,6 +453,8 @@ def test_complex_without_units_passes_through_unreduced():
     cpx = CochainComplex([2, 3, 2], [d0, d1])
     reduced = cpx.reduced()
     assert reduced.ranks == cpx.ranks
+    for record, d in zip(reduced.records, (d0, d1)):
+        assert_stored(record._matrix, d.to_lists())
     assert [record.shape for record in reduced.records] == [d0.shape, d1.shape]
     assert [record.rank for record in reduced.records] == [bareiss_rank(d0)[0],
                                                            bareiss_rank(d1)[0]]
@@ -433,6 +492,12 @@ def test_cancelling_drops_the_pivot_column_of_the_map_above():
     cpx = CochainComplex([1, 2, 2], [d0, d1])
     assert [cohomology_at(cpx, n) for n in range(3)] == [
         FgAbelianGroup(), FgAbelianGroup(0, [2]), FgAbelianGroup(1)]
+    # cancelling d_0[0][0] gives row 1 the entry -4 in column 1, left of its
+    # 3 in column 2; the record keeps the columns in order
+    cpx = CochainComplex([3, 2], [IntegerMatrix([[1, 2, 0], [2, 0, 3]])])
+    record, = cpx.reduced().records
+    assert_stored(record._matrix, [[-4, 3]])
+    assert [cohomology_at(cpx, n) for n in range(2)] == [FgAbelianGroup(1), FgAbelianGroup()]
 
 
 def test_unit_reduction_empties_every_differential_over_f_p():
@@ -441,6 +506,10 @@ def test_unit_reduction_empties_every_differential_over_f_p():
         for _ in range(15):
             integral, _ = random_known_complex(rng)
             cpx = CochainComplex(integral.ranks, integral.differentials, base=p)
+            for d, integral_d in zip(cpx.differentials, integral.differentials):
+                assert_stored(d, [[x % p for x in row] for row in integral_d], p)
+            for record in cpx.reduced().records:
+                assert_stored(record._matrix, [[0] * record.shape[1]] * record.shape[0], p)
             assert all(record.rank == 0 for record in cpx.reduced().records)
             for n in range(3):
                 assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), (p, n)
@@ -450,6 +519,9 @@ def test_reduction_matches_planted_complexes():
     rng = random.Random(8)
     for _ in range(50):
         cpx, planted = random_known_complex(rng)
+        for record in cpx.reduced().records:
+            assert_stored(record._matrix)
+            assert record._matrix.shape == record.shape
         assert cohomology_at(cpx, 1) == planted
         for n in range(3):
             assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), n
