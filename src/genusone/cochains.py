@@ -192,11 +192,13 @@ def verify_d_after_a(k: int, d: int, samples: int = 1000,
         raise ValueError("supported range is 1 <= k <= d <= 3")
     _check_samples(samples)
     rng = random.Random(seed)
+    # all draws at once: k forms and k + 1 vectors of d integers per trial
+    draws = rng.choices(range(-10, 11), k=samples * (2 * k + 1) * d)
+    chunks = zip(*[iter(draws)] * d)
     for trial in range(samples):
-        phis = [DualVector(rng.randint(-10, 10) for _ in range(d))
-                for _ in range(k)]
+        phis = [DualVector(c) for c in itertools.islice(chunks, k)]
         image = cochain_differential(splitting_map(phis))
-        vectors = _random_vectors(rng, k + 1, d)
+        vectors = tuple(itertools.islice(chunks, k + 1))
         value = image.evaluator(*vectors)
         if value != 0:
             return PointwiseReport(False, trial + 1, (

@@ -206,40 +206,43 @@ def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
     index minor.  A merged term whose product is the identity is dropped.
     """
     r = powers[0].rows
-    blocks = [[(i, j, v) for i, row in enumerate(p.to_lists())
-               for j, v in enumerate(row) if v] for p in powers]
-    identity = [(c, c, 1) for c in range(r)]
+    q = order - 1
+    # g_rows[t][c] holds the nonzero (column, value) pairs of row c of g^t
+    g_rows = [[[(j, v) for j, v in enumerate(row) if v] for row in p.to_lists()]
+              for p in powers]
+    last_sign = -1 if n % 2 == 0 else 1
+    half = base // 2 if base is not None else None
     rows = {}
 
     def tuple_index(tup):
         idx = 0
         for t in tup:
-            idx = idx * (order - 1) + t - 1
+            idx = idx * q + t - 1
         return idx
 
-    def add_block(row_tup, col_tup, sign, entries=identity):
-        base_r = tuple_index(row_tup) * r
-        base_c = tuple_index(col_tup) * r
-        for i, j, v in entries:
-            row = rows.setdefault(base_r + i, {})
-            row[base_c + j] = row.get(base_c + j, 0) + sign * v
-
-    for tup in itertools.product(range(1, order), repeat=n + 1):
-        add_block(tup, tup[1:], 1, blocks[tup[0]])
+    # row tuples come in index order; each fills the r rows of its block:
+    # g^(t_0) on the block of (t_1..t_n), then identity blocks, one per
+    # merged tuple and one for (t_0..t_(n-1))
+    for idx, tup in enumerate(itertools.product(range(1, order), repeat=n + 1)):
+        first = idx % q ** n * r
+        terms = []
         for i in range(n):
             product = (tup[i] + tup[i + 1]) % order
             if product:
-                add_block(tup, tup[:i] + (product,) + tup[i + 2:],
-                          -1 if i % 2 == 0 else 1)
-        add_block(tup, tup[:-1], -1 if n % 2 == 0 else 1)
-
-    if base is not None:
-        # symmetric residues, so that -1 stays a unit pivot
-        half = base // 2
-        rows = {i: {j: (v + half) % base - half for j, v in e.items()}
-                for i, e in rows.items()}
-    rows = {i: {j: v for j, v in e.items() if v} for i, e in rows.items()}
-    return {i: e for i, e in rows.items() if e}
+                merged = tup[:i] + (product,) + tup[i + 2:]
+                terms.append((tuple_index(merged) * r, -1 if i % 2 == 0 else 1))
+        terms.append((idx // q * r, last_sign))
+        for c, g_row in enumerate(g_rows[tup[0]]):
+            row = {first + j: v for j, v in g_row}
+            for col, sign in terms:
+                row[col + c] = row.get(col + c, 0) + sign
+            if base is not None:
+                # symmetric residues, so that -1 stays a unit pivot
+                row = {j: (v + half) % base - half for j, v in row.items()}
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                rows[idx * r + c] = row
+    return rows
 
 
 def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:

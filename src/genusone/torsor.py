@@ -218,26 +218,26 @@ class FiniteGroupData:
 
 
 def gl2_z4_group() -> FiniteGroupData:
-    """GL_2(Z/4) by exhaustive enumeration, acting on (Z/2)^2 via reduction."""
-    mats = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    if (a * d - b * c) % 2:
-                        mats.append(((a, b), (c, d)))
+    """GL_2(Z/4) by exhaustive enumeration, acting on (Z/2)^2 via reduction.
+
+    The multiplication table is written entry by entry from the product
+    formula: ((a, b), (c, d)) is looked up by its base-4 code abcd.
+    """
+    mats = [((a, b), (c, d)) for a in range(4) for b in range(4)
+            for c in range(4) for d in range(4) if (a * d - b * c) % 2]
     if len(mats) != 96:
         raise AssertionError(f"|GL_2(Z/4)| should be 96, got {len(mats)}")
-    index = {m: i for i, m in enumerate(mats)}
-    eye = ((1, 0), (0, 1))
-
-    def mul(x, y):
-        return tuple(tuple(sum(x[r][m] * y[m][c] for m in range(2)) % 4
-                           for c in range(2)) for r in range(2))
-
-    table = tuple(tuple(index[mul(x, y)] for y in mats) for x in mats)
+    index = [None] * 256
+    for i, ((a, b), (c, d)) in enumerate(mats):
+        index[64 * a + 16 * b + 4 * c + d] = i
+    table = tuple(
+        tuple(index[64 * ((a * e + b * g) % 4) + 16 * ((a * f + b * h) % 4)
+                    + 4 * ((c * e + d * g) % 4) + (c * f + d * h) % 4]
+              for (e, f), (g, h) in mats)
+        for (a, b), (c, d) in mats)
     action = tuple(tuple(tuple(v % 2 for v in row) for row in m) for m in mats)
-    return FiniteGroupData(tuple(mats), table, action, 2, identity=index[eye])
+    return FiniteGroupData(tuple(mats), table, action, 2,
+                           identity=mats.index(((1, 0), (0, 1))))
 
 
 def cyclic_group_data(order: int, matrix, p: int) -> FiniteGroupData:
@@ -300,6 +300,12 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     (g, h) imposes c(gh) = c(g) + g.c(h).  Coboundaries are the maps
     g |-> (g - 1)v.
 
+    Over F_2 the |G|^2 d equations are stored transposed, one bitmask per
+    unknown with bit e for equation e: |G| d long rows instead of |G|^2 d
+    short ones, so ``_rank_f2`` keeps at most |G| d pivots.  The rank is
+    the same, because a matrix and its transpose have equal rank over any
+    field.
+
     The ranks come from ``_rank_f2`` and ``_rank_modp``, not from
     ``exact_linalg.fp_rank``, on purpose: the solver is an independent
     check on the resolution-based engine (the ``torsor`` suite compares it
@@ -309,18 +315,23 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     n, d, p = group.order, group.dim, group.p
     width = n * d
     if p == 2:
-        rows = []
+        # the system transposed: bit e of cols[u] is the coefficient of
+        # unknown u in equation e
+        cols = [0] * width
+        e = 0
         for i in range(n):
             act = group.action[i]
             for j in range(n):
                 k = group.table[i][j]
                 for r in range(d):
-                    row = (1 << (k * d + r)) ^ (1 << (i * d + r))
+                    bit = 1 << e
+                    cols[k * d + r] ^= bit
+                    cols[i * d + r] ^= bit
                     for s in range(d):
                         if act[r][s]:
-                            row ^= 1 << (j * d + s)
-                    rows.append(row)
-        dim_z1 = width - _rank_f2(rows)
+                            cols[j * d + s] ^= bit
+                    e += 1
+        dim_z1 = width - _rank_f2(cols)
         brows = []
         for v in range(d):
             row = 0

@@ -1,9 +1,14 @@
+import collections
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from genusone.checks import SUITES, run_suite
+from genusone import checks
+from genusone.checks import SUITES, run_oracles, run_suite
+from genusone.exact_linalg import FgAbelianGroup
+from genusone.oracles import random_cyclic_action
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -69,3 +74,54 @@ def test_verify_meets_the_benchmark_contract(suite_results):
         assert len(results) == spec["checks"], suite
         failing = sorted(r.line() for r in results if not r.passed)
         assert failing == sorted(spec["documented_failures"]), suite
+
+
+def _oracle_actions(seed):
+    # the 50 actions run_oracles draws, replayed from the same stream
+    rng = random.Random(seed)
+    return [random_cyclic_action(rng, (2, 3, 4, 6)[i % 4]) for i in range(50)]
+
+
+def test_oracles_run_the_bar_complex_once_per_distinct_action(monkeypatch):
+    actions = _oracle_actions(0)
+    assert len(set(actions)) == 30
+    bar_calls, periodic_calls = [], []
+    bar, periodic = checks.bar_cohomology, checks.cyclic_cohomology
+
+    def bar_spy(action, n, *args):
+        bar_calls.append((action, n))
+        return bar(action, n, *args)
+
+    def periodic_spy(action, n):
+        periodic_calls.append(action)
+        return periodic(action, n)
+
+    monkeypatch.setattr(checks, "bar_cohomology", bar_spy)
+    monkeypatch.setattr(checks, "cyclic_cohomology", periodic_spy)
+    results = run_oracles(0)
+    assert all(r.passed for r in results)
+    assert [a for a, _ in bar_calls] == list(dict.fromkeys(actions))
+    assert {n for _, n in bar_calls} == {3}
+    # every case is still compared in each of the degrees 0..3
+    assert periodic_calls == [a for a in actions for _ in range(4)]
+
+
+def test_a_wrong_answer_on_a_repeated_action_names_every_case(monkeypatch):
+    actions = _oracle_actions(0)
+    target = next(a for a, count in collections.Counter(actions).items()
+                  if count == 2)
+    cases = [i for i, a in enumerate(actions) if a == target]
+    periodic = checks.cyclic_cohomology
+
+    def wrong_once(action, n):
+        group = periodic(action, n)
+        if action == target and n == 1:
+            return FgAbelianGroup(group.free_rank + 1, group.invariant_factors)
+        return group
+
+    monkeypatch.setattr(checks, "cyclic_cohomology", wrong_once)
+    oracle = run_oracles(0)[0]
+    assert not oracle.passed
+    assert oracle.detail.count("; ") == 1
+    for i in cases:
+        assert f"case {i} (order {target.order}" in oracle.detail

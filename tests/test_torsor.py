@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from genusone.torsor import (FiniteGroupData, build_canonical_torsor,
+from genusone.torsor import (FiniteGroupData, _rank_f2, build_canonical_torsor,
                              cycle_lengths, cyclic_group_data, gl2_z4_group,
                              h1_one_cocycles, torsor_matrix_action,
                              torsor_nontriviality_witness,
@@ -91,6 +93,70 @@ def test_gl2_z4_order_and_h1():
     assert group.p == 2
     assert group.dim == 2
     assert h1_one_cocycles(group) == 1
+
+
+def test_gl2_z4_table_is_the_matrix_product():
+    group = gl2_z4_group()
+    mats = group.elements
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            product = tuple(tuple(sum(x[r][m] * y[m][c] for m in range(2)) % 4
+                                  for c in range(2)) for r in range(2))
+            assert mats[group.table[i][j]] == product
+    assert mats[group.identity] == ((1, 0), (0, 1))
+
+
+def _transpose_bits(rows, width):
+    return [sum(((row >> c) & 1) << e for e, row in enumerate(rows))
+            for c in range(width)]
+
+
+def _dense_rank_f2(rows, width):
+    dense = [[(row >> c) & 1 for c in range(width)] for row in rows]
+    rank = 0
+    for c in range(width):
+        pivot = next((i for i in range(rank, len(dense)) if dense[i][c]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        for i in range(len(dense)):
+            if i != rank and dense[i][c]:
+                dense[i] = [a ^ b for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("height, width", [
+    (40, 8), (8, 40), (12, 12), (0, 5), (5, 0), (0, 0)])
+def test_rank_f2_of_the_rows_equals_that_of_the_transpose(height, width):
+    rng = random.Random(height * 100 + width)
+    for density in (0.0, 0.1, 0.5):
+        for _ in range(5):
+            rows = [sum(1 << c for c in range(width) if rng.random() < density)
+                    for _ in range(height)]
+            rank = _dense_rank_f2(rows, width)
+            assert _rank_f2(rows) == rank
+            assert _rank_f2(_transpose_bits(rows, width)) == rank
+            if density == 0.0:
+                assert rank == 0
+
+
+def test_solver_values_on_the_torsor_suite_groups():
+    from genusone.cyclic import CyclicAction, cyclic_cohomology
+    from genusone.exact_linalg import IntegerMatrix
+    assert h1_one_cocycles(gl2_z4_group()) == 1
+    trivial = FiniteGroupData((0,), ((0,),), (((1, 0), (0, 1)),), 2)
+    assert h1_one_cocycles(trivial) == 0
+    assert h1_one_cocycles(cyclic_group_data(3, ((1,),), 2)) == 0
+    # the four cyclic cases the torsor suite compares, with their H^1
+    for order, mat, p, want in ((4, ((0, -1), (1, 0)), 2, 1),
+                                (6, ((0, -1), (1, 1)), 3, 0),
+                                (2, ((0, 1), (1, 0)), 2, 0),
+                                (5, ((1,),), 5, 1)):
+        periodic = cyclic_cohomology(
+            CyclicAction(order, IntegerMatrix([list(r) for r in mat]), base=p), 1)
+        assert periodic.free_rank + len(periodic.invariant_factors) == want
+        assert h1_one_cocycles(cyclic_group_data(order, mat, p)) == want
 
 
 def test_cyclic_group_h1_matches_resolution():
