@@ -315,8 +315,6 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     n, d, p = group.order, group.dim, group.p
     width = n * d
     if p == 2:
-        # the system transposed: bit e of cols[u] is the coefficient of
-        # unknown u in equation e
         cols = [0] * width
         e = 0
         for i in range(n):
