@@ -12,11 +12,12 @@ differential keeps the denominator of its input.  So the identities below
 are compared as integers, and calling a cochain builds a single exact
 ``Fraction`` at the end.
 
-Two identities are certified.  d(a^k) = 0 is checked by exact evaluation
-on seeded pseudo-random forms and lattice tuples.  The cup-product
-primitive is proved on a finite grid that determines every polynomial of
-the degree involved (see ``verify_cup_primitive``); seeded samples
-remain available for it too.
+Two identities are certified, each proved on a finite grid that
+determines every polynomial of the degree involved: d(a^k) = 0 on tuples
+of basis forms and the degree-1 grid (see ``verify_d_after_a``), and the
+cup-product primitive on pairs of basis forms and the degree-2 grid (see
+``verify_cup_primitive``).  Seeded random samples remain available for
+both.
 """
 
 from __future__ import annotations
@@ -177,33 +178,75 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"need at least one sample, got {samples}")
 
 
+def _degree_one_grid(rank: int) -> tuple:
+    """0 and every e_i: unisolvent for degree <= 1."""
+    return ((0,) * rank, *(tuple(int(i == j) for j in range(rank))
+                           for i in range(rank)))
+
+
 def _degree_two_grid(rank: int) -> tuple:
     """0, every e_i and every e_i + e_j (i <= j): unisolvent for degree <= 2."""
-    basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    return ((0,) * rank, *basis, *(
+    zero, *basis = _degree_one_grid(rank)
+    return (zero, *basis, *(
         tuple(map(operator.add, a, b))
         for a, b in itertools.combinations_with_replacement(basis, 2)))
 
 
-def verify_d_after_a(k: int, d: int, samples: int = 1000,
+def verify_d_after_a(k: int, d: int, samples: int | None = 1000,
                      seed: int = 0) -> PointwiseReport:
-    """Check d(a^k(phis)) = 0 exactly on random forms and lattice tuples."""
+    """Check d(a^k(phis)) = 0 exactly, for k forms on the rank-d lattice.
+
+    With ``samples=None`` the check is a proof.  The forms run over the
+    increasing k-tuples of basis forms and the vectors over the grid
+    {0, e_1, ..., e_d}^(k + 1), and this determines d(a^k) everywhere:
+
+    - d(a^k(phis)) is linear in each form, because d is linear and every
+      term of a^k has one factor per form.
+    - It is alternating in the forms, because a^k is a signed sum over
+      S_k.  So a tuple with a repeated form gives 0, and the increasing
+      tuples of basis forms determine it for all rational forms.
+    - Every term of d evaluates a^k at arguments v_j or v_(j-1) + v_j,
+      and a^k is linear in each argument.  So d(a^k) is a polynomial of
+      degree <= 1 in the coordinates of each vector v_0, ..., v_k.
+    - {0, e_1, ..., e_d} is unisolvent for polynomials of degree <= 1 on
+      Q^d, so the product grid determines every polynomial of degree
+      <= 1 in each vector: vanishing there means vanishing everywhere.
+
+    That is C(d, k) (d + 1)^(k + 1) points: 4, 18, 27, 48, 192 and 256
+    for (k, d) = (1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3).
+
+    With an integer ``samples`` the forms and the vectors are that many
+    seeded random draws from [-10, 10] instead.  Either way ``samples``
+    in the report counts the points checked, and a failure carries the
+    forms, the vectors and the nonzero value.
+    """
     if not 1 <= k <= d <= 3:
         raise ValueError("supported range is 1 <= k <= d <= 3")
-    _check_samples(samples)
-    rng = random.Random(seed)
-    # all draws at once: k forms and k + 1 vectors of d integers per trial
-    draws = rng.choices(range(-10, 11), k=samples * (2 * k + 1) * d)
-    chunks = zip(*[iter(draws)] * d)
-    for trial in range(samples):
-        phis = [DualVector(c) for c in itertools.islice(chunks, k)]
+    if samples is None:
+        grid = _degree_one_grid(d)
+        basis = [DualVector(e) for e in grid[1:]]
+        points = list(itertools.product(grid, repeat=k + 1))
+        trials = ((list(phis), points)
+                  for phis in itertools.combinations(basis, k))
+    else:
+        _check_samples(samples)
+        rng = random.Random(seed)
+        # all draws at once: k forms and k + 1 vectors of d integers per trial
+        draws = rng.choices(range(-10, 11), k=samples * (2 * k + 1) * d)
+        chunks = zip(*[iter(draws)] * d)
+        trials = (([DualVector(c) for c in itertools.islice(chunks, k)],
+                   [tuple(itertools.islice(chunks, k + 1))])
+                  for _ in range(samples))
+    checked = 0
+    for phis, points in trials:
         image = cochain_differential(splitting_map(phis))
-        vectors = tuple(itertools.islice(chunks, k + 1))
-        value = image.evaluator(*vectors)
-        if value != 0:
-            return PointwiseReport(False, trial + 1, (
-                phis, vectors, Fraction(value, image.denominator)))
-    return PointwiseReport(True, samples)
+        for vectors in points:
+            checked += 1
+            value = image.evaluator(*vectors)
+            if value != 0:
+                return PointwiseReport(False, checked, (
+                    phis, vectors, Fraction(value, image.denominator)))
+    return PointwiseReport(True, checked)
 
 
 def verify_cup_primitive(phi1: DualVector, phi2: DualVector,

@@ -52,10 +52,12 @@ def sparse_diagonal(m: IntegerMatrix) -> list:
 
 def _sparse_rows_diagonal(rows: dict) -> list:
     """``sparse_diagonal`` on sparse rows {i: {j: v}}, which it consumes."""
+    # cols[j] lists, append-only, every row that has held column j; the
+    # list length is an upper bound on the column count
     cols = {}
     for i, entries in rows.items():
         for j in entries:
-            cols.setdefault(j, set()).add(i)
+            cols.setdefault(j, []).append(i)
     # (length, row) entries go stale when a row changes; a changed row is
     # pushed again, and a stale entry is skipped when it is popped
     heap = [(len(entries), i) for i, entries in rows.items()]
@@ -73,25 +75,25 @@ def _sparse_rows_diagonal(rows: dict) -> list:
         pj = min(units, key=lambda j: len(cols[j]))
         pivot = prow[pj]
         del rows[pi]
-        for j in prow:
-            cols[j].discard(pi)
-        for i in list(cols[pj]):
-            target = rows[i]
+        for i in cols.pop(pj):
+            target = rows.get(i)
+            # a stale member (a pivoted or emptied row, or one that lost pj,
+            # possibly listed twice) holds no pj now, so it needs no update
+            if target is None or pj not in target:
+                continue
             q = target[pj] * pivot
             for j, v in prow.items():
                 new = target.get(j, 0) - q * v
                 if new:
                     if j not in target:
-                        cols.setdefault(j, set()).add(i)
+                        cols[j].append(i)
                     target[j] = new
                 elif j in target:
                     del target[j]
-                    cols[j].discard(i)
             if target:
                 heapq.heappush(heap, (len(target), i))
             else:
                 del rows[i]
-        cols.pop(pj, None)
         ones += 1
 
     content = 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genusone import cochains
+from genusone.checks import run_splitting
 from genusone.cochains import (Cochain, DualVector, cochain_differential, cup,
                                splitting_map, verify_cup_primitive,
                                verify_d_after_a)
@@ -158,23 +159,32 @@ def test_cup_primitive_check_catches_an_off_by_one_cup(monkeypatch):
 
 
 def test_d_after_a_check_catches_an_off_by_one_map(monkeypatch):
-    # d of a constant c of odd arity n is c, so k = 1 and k = 3 must fail
+    # d of a constant c of odd arity n is c, so k = 1 and k = 3 must fail,
+    # sampled or on the grid
     monkeypatch.setattr(cochains, "splitting_map", _off_by_one(splitting_map))
-    for k, d in ((1, 1), (1, 3), (3, 3)):
-        report = verify_d_after_a(k, d, samples=50, seed=3)
-        assert not report.passed, (k, d)
-        assert report.failure[2] == 1
+    for samples in (50, None):
+        for k, d in ((1, 1), (1, 3), (3, 3)):
+            report = verify_d_after_a(k, d, samples=samples, seed=3)
+            assert not report.passed, (samples, k, d)
+            assert report.failure[2] == 1
 
 
 def test_splitting_map_is_alternating_in_the_forms():
+    # the premise that lets the grid proof of d(a^k) = 0 read increasing
+    # tuples of basis forms only
     rng = random.Random(5)
-    phis = [DualVector([rng.randint(-4, 4) for _ in range(3)])
-            for _ in range(2)]
-    plain = splitting_map(phis)
-    swapped = splitting_map(phis[::-1])
-    for _ in range(20):
-        vecs = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(2)]
-        assert plain(*vecs) == -swapped(*vecs)
+    for k in (2, 3):
+        phis = [DualVector([rng.randint(-4, 4) for _ in range(3)])
+                for _ in range(k)]
+        plain = splitting_map(phis)
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[i] > perm[j]
+                             for i, j in itertools.combinations(range(k), 2))
+            permuted = splitting_map([phis[i] for i in perm])
+            for _ in range(20):
+                vecs = [tuple(rng.randint(-6, 6) for _ in range(3))
+                        for _ in range(k)]
+                assert permuted(*vecs) == (-1) ** inversions * plain(*vecs), perm
 
 
 def test_splitting_map_validation():
@@ -193,12 +203,25 @@ def test_d_after_a_vanishes():
             report = verify_d_after_a(k, d, samples=60, seed=1)
             assert report.passed, (k, d)
             assert report.samples == 60
+    # the proof: C(d, k) increasing basis-form tuples times the
+    # (d + 1)^(k + 1) points of the degree-1 grid
+    points = {(1, 1): 4, (1, 2): 18, (2, 2): 27, (1, 3): 48, (2, 3): 192,
+              (3, 3): 256}
+    for (k, d), count in points.items():
+        assert count == math.comb(d, k) * (d + 1) ** (k + 1)
+        report = verify_d_after_a(k, d, samples=None)
+        assert report.passed and report.samples == count, (k, d)
+    assert sum(points.values()) == 545
     with pytest.raises(ValueError):
         verify_d_after_a(0, 1)
     with pytest.raises(ValueError):
         verify_d_after_a(2, 1)
     with pytest.raises(ValueError):
         verify_d_after_a(1, 4)
+
+
+def test_splitting_suite_reads_no_seed():
+    assert run_splitting(0) == run_splitting(7)
 
 
 def test_cup_product_primitive():
@@ -270,6 +293,20 @@ def test_degree_two_grid_is_unisolvent(rank):
              for a, b in monomials]
             for v1, v2 in itertools.product(grid, repeat=2)]
     assert len(rows) == len(monomials) == {2: 36, 3: 100}[rank]
+    assert bareiss_rank(IntegerMatrix(rows))[0] == len(monomials)
+
+
+@pytest.mark.parametrize("rank,vectors", [(2, 3), (3, 3)])
+def test_degree_one_product_grid_is_unisolvent(rank, vectors):
+    # {0, e_i}^n determines every polynomial of degree <= 1 in each of
+    # v_1..v_n: its evaluation matrix on the monomial basis is invertible
+    grid = cochains._degree_one_grid(rank)
+    linear = [e for e in itertools.product(range(2), repeat=rank) if sum(e) <= 1]
+    monomials = list(itertools.product(linear, repeat=vectors))
+    rows = [[math.prod(x ** e for v, m in zip(point, mono)
+                       for x, e in zip(v, m)) for mono in monomials]
+            for point in itertools.product(grid, repeat=vectors)]
+    assert len(rows) == len(monomials) == (rank + 1) ** vectors
     assert bareiss_rank(IntegerMatrix(rows))[0] == len(monomials)
 
 
