@@ -20,13 +20,15 @@ H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
 The blocks come straight from S, U and the action c of -I; the d o d
 check of the unreduced complex certifies the relations that make them the
-cyclic groups' blocks (``_parity_blocks``).  Each block of D_n depends only
-on the parity of n once n >= 1, so D_n = D_{n+2} for n >= 1 and one matrix
-serves both.  Each module gets one complex, in degrees 0..4, validated
-once; H^p for p >= 4 is read as H^{p'}, p' = 2 + p % 2, since H^p needs
-D_{p-1} and D_p, which are D_{p'-1} and D_{p'}.  ``sl2z_cohomology`` caches
-that complex per (k, base); it reduces itself on its unit pivots once and
-keeps one invariants record per reduced differential
+cyclic groups' blocks (``_parity_blocks``).  It is the only check of those
+relations: a ``GroupModule`` checks just its generator names and shapes.
+Each block of D_n depends only on the parity of n once n >= 1, so
+D_n = D_{n+2} for n >= 1 and one matrix serves both.  Each module gets
+one complex, in degrees 0..4, validated once; H^p for p >= 4 is read as
+H^{p'}, p' = 2 + p % 2, since H^p needs D_{p-1} and D_p, which are
+D_{p'-1} and D_{p'}.  ``sl2z_cohomology`` caches that complex per
+(k, base); it reduces itself on its unit pivots once and keeps one
+invariants record per reduced differential
 (``exact_linalg.CochainComplex.reduced``), so every H^p reads ranks and
 divisors computed once.
 """
@@ -83,7 +85,8 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     """Assemble the mapping-cone complex in degrees 0..top_degree.
 
     top_degree must be at least 2: the check of D_1 o D_0 certifies the
-    relations (see ``_parity_blocks``).  H^p needs degrees up to p + 1.
+    module's relations, and nothing else does (see ``_parity_blocks``).
+    H^p needs degrees up to p + 1.
     """
     if top_degree < 2:
         raise ValueError("top_degree must be at least 2")
@@ -147,7 +150,7 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
 
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
-    """H^p(SL2(Z), M) for a module with the generator actions, from its degree-4 complex."""
+    """H^p(SL2(Z), M) from the degree-4 complex of M, which checks M's relations."""
     if p < 0:
         raise ValueError("p must be non-negative")
     return _folded(build_total_complex(module, 4).complex, p)

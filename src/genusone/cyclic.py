@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, cohomology_at
+from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime,
+                           cohomology_at)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class CyclicAction:
     _powers: tuple[IntegerMatrix, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.base is not None and not _is_prime(self.base):
+            raise ValueError(f"base must be None or a prime, got {self.base}")
         if self.order < 1:
             raise ValueError("group order must be positive")
         if self.gen.rows != self.gen.cols:

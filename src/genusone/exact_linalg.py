@@ -797,9 +797,6 @@ class CochainComplex:
         cols = self.ranks[n] if 0 <= n < len(self.ranks) else 0
         return IntegerMatrix.zeros(rows, cols)
 
-    def top_degree(self) -> int:
-        return len(self.ranks) - 1
-
     def reduced(self) -> "ReducedComplex":
         """The complex reduced on its unit pivots, computed on first use."""
         if self._reduced is None:

@@ -9,7 +9,9 @@ with S^2 = U^3 = -I central of order 2, exhibiting the group as the
 amalgamated product Z/4 *_{Z/2} Z/6.  The unipotent T = [[1, 1], [0, 1]]
 is recovered as S^{-1} U.
 
-A ``GroupModule`` stores the matrices by which these generators act.  The
+A ``GroupModule`` stores the matrices by which S, U and optionally -I act,
+and checks only their names and shapes: the relations are certified once,
+by the d o d check of the amalgam complex built from the module.  The
 k-th symmetric power of the standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
@@ -29,31 +31,7 @@ S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
 T_MATRIX = IntegerMatrix([[1, 1], [0, 1]])  # equals S^{-1} * U
 MINUS_IDENTITY = IntegerMatrix([[-1, 0], [0, -1]])
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The standard generators of SL2(Z), with their relations verified."""
-
-    s: IntegerMatrix
-    u: IntegerMatrix
-    minus_i: IntegerMatrix
-
-    def __post_init__(self):
-        if self.s ** 4 != IntegerMatrix.identity(2):
-            raise ValueError("S must have order 4")
-        if self.u ** 6 != IntegerMatrix.identity(2):
-            raise ValueError("U must have order 6")
-        if self.s ** 2 != self.minus_i or self.u ** 3 != self.minus_i:
-            raise ValueError("S^2 = U^3 = -I must hold")
-
-    @property
-    def t(self) -> IntegerMatrix:
-        return (self.s ** 3) * self.u  # S^{-1} = S^3
-
-
-def standard_generators() -> GeneratorSet:
-    return GeneratorSet(S_MATRIX, U_MATRIX, MINUS_IDENTITY)
+GENERATOR_NAMES = ("S", "U", "-I")
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -94,14 +72,15 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
 
 @dataclass(frozen=True)
 class GroupModule:
-    """A module for the standard generators, over Z (base None) or F_p.
+    """A module for SL2(Z), over Z (base None) or F_p, as a checked record.
 
-    ``actions`` maps generator names ("S", "U", "-I") to square matrices of
-    size ``rank``.  Action matrices must be invertible over the base.  When
-    all three standard names are present the defining relations
-    S^2 = U^3 = -I and (-I)^2 = I are checked; they imply S^4 = U^6 = I and
-    give the inverses S^3, U^5 and -I, so only generators outside those
-    relations need the determinant test.
+    ``actions`` maps "S" and "U", and optionally "-I", to square matrices
+    of size ``rank``.  Construction checks only this form.  The relations
+    S^2 = U^3 = c and c^2 = 1, with c the action of -I (S^2 if absent),
+    are certified in one place: the d o d check of the complex that
+    ``amalgam.build_total_complex`` builds from the module (see
+    ``amalgam._parity_blocks``).  They make S and U invertible, so no
+    determinant is taken.
     """
 
     rank: int
@@ -113,34 +92,14 @@ class GroupModule:
         if self.base is not None and not _is_prime(self.base):
             raise ValueError(f"base must be None or a prime, got {self.base}")
         for gen, mat in self.actions.items():
+            if gen not in GENERATOR_NAMES:
+                raise ValueError(f"unknown generator {gen!r}; a module is given "
+                                 f"by S, U and optionally -I")
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
-        invertible = set()
-        if {"S", "U", "-I"} <= set(self.actions):
-            self._check_relations()
-            invertible = {"S", "U", "-I"}
-        for gen, mat in self.actions.items():
-            if gen in invertible:
-                continue
-            det = mat.det()
-            if self.base is None:
-                if abs(det) != 1:
-                    raise ValueError(f"action of {gen} is not invertible over Z")
-            elif det % self.base == 0:
-                raise ValueError(f"action of {gen} is singular mod {self.base}")
-
-    def _check_relations(self):
-        s, u, mi = self.actions["S"], self.actions["U"], self.actions["-I"]
-
-        def mul(a, b):
-            prod = a * b
-            return prod if self.base is None else prod.mod(self.base)
-
-        eye = IntegerMatrix.identity(self.rank)
-        minus = mi if self.base is None else mi.mod(self.base)
-        pairs = [(mul(s, s), minus), (mul(mul(u, u), u), minus), (mul(mi, mi), eye)]
-        if any(got != want for got, want in pairs):
-            raise ValueError("generator relations fail on this module")
+        for gen in ("S", "U"):
+            if gen not in self.actions:
+                raise ValueError(f"module {self.name!r} needs an action of {gen}")
 
     def action(self, gen: str) -> IntegerMatrix:
         if gen not in self.actions:
@@ -160,22 +119,17 @@ class GroupModule:
 
 @lru_cache(maxsize=None)
 def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    gens = standard_generators()
-    return (sym_power_matrix(gens.s, k),
-            sym_power_matrix(gens.u, k),
-            sym_power_matrix(gens.minus_i, k))
+    return tuple(sym_power_matrix(g, k) for g in (S_MATRIX, U_MATRIX, MINUS_IDENTITY))
 
 
 def standard_coefficient_module(name: str, k: int | None = None,
                                 base: int | None = None) -> GroupModule:
     """The coefficient systems used throughout: "sym_k", "f2_squared", "trivial_Z".
 
-    "sym_k" needs the symmetric-power degree k.  With a prime ``base`` it
-    is Sym^k mod base, named "sym_{k} mod {base}" as ``reduce`` would
-    name it, but built straight from the integral matrices taken mod
-    base, so only the reduced relations are checked.  "f2_squared" is the
-    rank-2 mod-2 reduction of the standard module; "trivial_Z" is Z with
-    every generator acting as the identity.
+    "sym_k" needs the symmetric-power degree k; with a prime ``base`` it
+    is the integral Sym^k reduced mod base (``GroupModule.reduce``).
+    "f2_squared" is the rank-2 mod-2 reduction of the standard module;
+    "trivial_Z" is Z with every generator acting as the identity.
     """
     if base is not None and name != "sym_k":
         raise ValueError(f"module {name!r} takes no base")
@@ -185,13 +139,9 @@ def standard_coefficient_module(name: str, k: int | None = None,
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
-        actions = dict(zip(("S", "U", "-I"), _sym_actions(k)))
-        if base is None:
-            return GroupModule(k + 1, actions, name=f"sym_{k}")
-        if not _is_prime(base):
-            raise ValueError(f"can only reduce modulo a prime, got {base}")
-        return GroupModule(k + 1, {g: m.mod(base) for g, m in actions.items()},
-                           base=base, name=f"sym_{k} mod {base}")
+        module = GroupModule(k + 1, dict(zip(GENERATOR_NAMES, _sym_actions(k))),
+                             name=f"sym_{k}")
+        return module if base is None else module.reduce(base)
     if name == "f2_squared":
         return standard_coefficient_module("sym_k", 1, base=2)
     raise ValueError(f"unknown coefficient module {name!r}")

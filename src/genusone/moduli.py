@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .amalgam import sl2z_cohomology
 from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _is_prime, direct_sum,
                            localize, mod_p_dims)
-from .group_modules import standard_generators, sym_power_matrix
+from .group_modules import S_MATRIX, T_MATRIX, sym_power_matrix
 
 #: mod-2 dimensions of the complement part in degrees 0..8, an external
 #: input to the degeneration argument, frozen rather than derived
@@ -164,13 +164,12 @@ def p_torsion_scan(q: int) -> PTorsionWitness:
         raise ValueError("only odd primes are supported")
     if not _is_prime(q):
         raise ValueError(f"{q} is not an odd prime")
-    gens = standard_generators()
     k = q + 1
     vector = [0] * (k + 1)
     vector[1] = 1        # X^q Y
     vector[k - 1] = -1   # X Y^q
     fixed = []
-    for g in (gens.s, gens.t):
+    for g in (S_MATRIX, T_MATRIX):
         action = sym_power_matrix(g, k)
         image = action * IntegerMatrix([[v] for v in vector], cols=1)
         fixed.append(all(

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the elimination strategy and the
 transform bookkeeping of ``exact_linalg``: ranks and elementary divisors
 come from a sparse gcd diagonalization, small invariant factors from
-determinantal divisors, rational ranks from fraction elimination, and
-cyclic-group cohomology from a truncated bar complex.  The verification
-suites assert agreement between these routes and the production ones.
+determinantal divisors, rational ranks and those divisors' minors from
+fraction elimination, and cyclic-group cohomology from a truncated bar
+complex.  The verification suites assert agreement between these routes
+and the production ones.
 
 The bar complex is built on normalized cochains, as sparse rows
 {i: {j: v}}, and stays sparse end to end.  One elimination routine,
@@ -173,6 +174,24 @@ def rational_rank(m: IntegerMatrix) -> int:
     return rank
 
 
+def _fraction_det(rows: list) -> int:
+    """Determinant of a square list of integer rows by fraction elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    value = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            value = -value
+        value *= rows[col][col]
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
+    return int(value)
+
+
 def determinantal_invariant_factors(m: IntegerMatrix) -> list:
     """Invariant factors from gcds of k-by-k minors.  Tiny matrices only."""
     if m.rows * m.cols > 64:
@@ -184,8 +203,8 @@ def determinantal_invariant_factors(m: IntegerMatrix) -> list:
         g = 0
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
-                sub = IntegerMatrix([[data[i][j] for j in cols] for i in rows])
-                g = math.gcd(g, abs(sub.det()))
+                g = math.gcd(g, abs(_fraction_det([[data[i][j] for j in cols]
+                                                    for i in rows])))
         if g == 0:
             break
         factors.append(g // previous)
@@ -265,6 +284,9 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    if base is not None and (base < 2 or any(base % q == 0
+                                             for q in range(2, math.isqrt(base) + 1))):
+        raise ValueError(f"base must be None or a prime, got {base}")
     m, r = action.order, action.rank
     powers = [action.power(i) for i in range(m)]
     groups = []

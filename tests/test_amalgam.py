@@ -164,21 +164,27 @@ def _kronecker(p, m):
                           for p_row in p for m_row in m.to_lists()])
 
 
-def test_shapiro_through_the_commutator_subgroup():
+def _commutator_module(k, names=("S", "U", "-I")):
+    # S -> +3, U -> +2, -I -> +6 on Z[Z/12], Kronecker with Sym^k
+    shifts = {"S": (3, S_MATRIX), "U": (2, U_MATRIX), "-I": (6, MINUS_IDENTITY)}
+    actions = {}
+    for name in names:
+        shift, g = shifts[name]
+        translation = [[int((c + shift) % 12 == d) for c in range(12)] for d in range(12)]
+        actions[name] = _kronecker(translation, sym_power_matrix(g, k))
+    return actions
+
+
+def test_shapiro_through_the_commutator_subgroup(monkeypatch):
     # S -> 3, U -> 2 maps SL2(Z) onto Z/12 with kernel the commutator
     # subgroup, free on A and B.  Shapiro's lemma gives H^p(SL2(Z), M_k) =
     # H^p(free group, Sym^k) for the permutation module M_k = Z[Z/12] (x)
     # Sym^k, so H^{>= 2} = 0, H^0 = (Sym^k)^{<A, B>} and H^1 is the
     # cokernel of m -> ((A - 1)m, (B - 1)m), read from the oracle
     a, b = IntegerMatrix([[2, 1], [1, 1]]), IntegerMatrix([[1, 1], [1, 2]])
-    generators = {"S": (3, S_MATRIX), "U": (2, U_MATRIX), "-I": (6, MINUS_IDENTITY)}
     h1 = []
-    for k in range(7):
-        actions = {}
-        for name, (shift, g) in generators.items():
-            translation = [[int((c + shift) % 12 == d) for c in range(12)] for d in range(12)]
-            actions[name] = _kronecker(translation, sym_power_matrix(g, k))
-        module = GroupModule(12 * (k + 1), actions)
+    for k in (0, 1, 2, 3, 4, 5, 6, 8):
+        module = GroupModule(12 * (k + 1), _commutator_module(k))
         eye = IntegerMatrix.identity(k + 1)
         coboundary = IntegerMatrix((sym_power_matrix(a, k) - eye).to_lists()
                                    + (sym_power_matrix(b, k) - eye).to_lists())
@@ -189,7 +195,22 @@ def test_shapiro_through_the_commutator_subgroup():
         assert groups[2:] == [ZERO] * 4, k
         h1.append(str(groups[1]))
     assert h1 == ["Z^2", "Z^2", "Z^3 + Z/2", "Z^4 + Z/2 + Z/2", "Z^5 + Z/3 + Z/12",
-                  "Z^6 + Z/2 + Z/2", "Z^7 + Z/2 + Z/4 + Z/60"]
+                  "Z^6 + Z/2 + Z/2", "Z^7 + Z/2 + Z/4 + Z/60",
+                  "Z^9 + Z/6 + Z/6 + Z/168"]
+    # without -I the module is given by S and U alone; it is built and read
+    # with no determinant, since the complex certifies S^2 = U^3 = c, c^2 = 1
+    actions = _commutator_module(8, ("S", "U"))
+    dets = []
+    original = IntegerMatrix.det
+
+    def spy(self):
+        dets.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(IntegerMatrix, "det", spy)
+    module = GroupModule(12 * 9, actions)
+    assert [sl2z_cohomology_module(module, p) for p in range(6)] == groups
+    assert dets == []
 
 
 def test_module_interface_f2_squared():
@@ -206,23 +227,6 @@ def test_total_complex_is_a_complex():
     assert cohomology_at(cpx, 1) == _t(2)
     with pytest.raises(ValueError):
         build_total_complex(mod, 0)
-
-
-def test_f_p_route_checks_only_the_reduced_module(monkeypatch):
-    # the F_p complex is built from Sym^k taken mod p, so the relations of
-    # the integral module are never checked on the way
-    bases = []
-    check = GroupModule._check_relations
-
-    def spy(self):
-        bases.append(self.base)
-        check(self)
-
-    monkeypatch.setattr(GroupModule, "_check_relations", spy)
-    _sym_complex.cache_clear()
-    sl2z_cohomology(10, 3, modulus=2)
-    assert bases == [2]
-    _sym_complex.cache_clear()
 
 
 @pytest.mark.parametrize("modulus", [2, 3])
@@ -312,8 +316,8 @@ def test_factored_blocks_match_the_cyclic_actions():
     (S_MATRIX, T_MATRIX),   # U^3 = T^3 != -I = S^2
 ])
 def test_relations_that_fail_only_in_the_complex_are_rejected(base, s, u):
-    # without -I the module checks only that S and U are invertible; the
-    # relations are left to the d o d check of the complex
+    # the module checks only names and shapes; the relations are left to
+    # the d o d check of the complex
     module = GroupModule(2, {"S": s, "U": u}, base=base)
     for top in (2, 3, 4):
         with pytest.raises(ValueError, match="not a complex"):

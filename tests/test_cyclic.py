@@ -15,6 +15,14 @@ def test_rejects_wrong_order():
         CyclicAction(3, IntegerMatrix([[-1]]))
 
 
+@pytest.mark.parametrize("base", [0, 1, 4, -2])
+def test_rejects_a_base_that_is_not_prime(base):
+    # checked before anything is reduced: base 0 would divide by zero,
+    # bases 1 and -2 would fail as a wrong order, and base 4 would pass
+    with pytest.raises(ValueError, match="base must be None or a prime"):
+        CyclicAction(2, IntegerMatrix([[-1]]), base=base)
+
+
 def test_cached_powers_are_reduced_and_periodic():
     u = IntegerMatrix([[0, -1], [1, 1]])
     for base in (None, 2, 5):

@@ -3,49 +3,82 @@ import random
 
 import pytest
 
+from genusone.amalgam import build_total_complex
 from genusone.exact_linalg import IntegerMatrix
 from genusone.group_modules import (GroupModule, MINUS_IDENTITY, S_MATRIX,
-                                    standard_coefficient_module,
-                                    standard_generators, sym_power_matrix,
+                                    standard_coefficient_module, sym_power_matrix,
                                     T_MATRIX, U_MATRIX)
 
 
 def test_generator_relations():
-    gens = standard_generators()
     eye = IntegerMatrix.identity(2)
-    assert gens.s ** 4 == eye
-    assert gens.u ** 6 == eye
-    assert gens.s ** 2 == gens.u ** 3 == MINUS_IDENTITY
-    assert (gens.s ** 3) * gens.u == T_MATRIX
-    assert gens.t == T_MATRIX
+    assert S_MATRIX ** 4 == eye
+    assert U_MATRIX ** 6 == eye
+    assert S_MATRIX ** 2 == U_MATRIX ** 3 == MINUS_IDENTITY
+    assert (S_MATRIX ** 3) * U_MATRIX == T_MATRIX
+
+
+def _rejected_by_the_complex(module):
+    # the d o d check of D_1 o D_0 certifies S^2 = U^3 = c and c^2 = 1
+    for top in (2, 4):
+        with pytest.raises(ValueError, match="d1 o d0 is not zero"):
+            build_total_complex(module, top)
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        GroupModule(2, {"S": U_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY})
+    # construction checks the form: a prime base, the names S, U and
+    # optionally -I, square actions of the module's rank
     one, minus = IntegerMatrix([[1]]), IntegerMatrix([[-1]])
-    # S^2 = I != -I, while U^3 = -I and (-I)^2 = I hold
-    with pytest.raises(ValueError, match="relations"):
-        GroupModule(1, {"S": one, "U": minus, "-I": minus})
-    # S^2 = U^3 = -I hold, but (-I)^2 = 4096 != I
-    with pytest.raises(ValueError, match="relations"):
-        GroupModule(1, {"S": IntegerMatrix([[8]]), "U": IntegerMatrix([[4]]),
-                        "-I": IntegerMatrix([[64]])})
-    with pytest.raises(ValueError, match="relations"):
-        GroupModule(1, {"S": one, "U": minus, "-I": minus}, base=3)
-
-
-def test_determinant_test_without_all_three_generators():
-    two = IntegerMatrix([[2]])
-    with pytest.raises(ValueError, match="not invertible over Z"):
-        GroupModule(1, {"S": two, "U": IntegerMatrix([[1]])})
-    with pytest.raises(ValueError, match="singular mod 2"):
-        GroupModule(1, {"S": two}, base=2)
-    # a generator beyond the three related ones is still tested
-    with pytest.raises(ValueError, match="action of T"):
+    with pytest.raises(ValueError, match="base must be None or a prime"):
+        GroupModule(1, {"S": minus, "U": one}, base=4)
+    with pytest.raises(ValueError, match="action of U has shape"):
+        GroupModule(1, {"S": minus, "U": IntegerMatrix.identity(2)})
+    with pytest.raises(ValueError, match="unknown generator 'T'"):
         GroupModule(2, {"S": S_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY,
                         "T": IntegerMatrix([[1, 0], [0, 2]])})
-    assert GroupModule(1, {"S": IntegerMatrix([[-1]])}).rank == 1
+    with pytest.raises(ValueError, match="needs an action of U"):
+        GroupModule(1, {"S": minus})
+    with pytest.raises(ValueError, match="needs an action of S"):
+        GroupModule(1, {"U": one, "-I": one})
+    # the relations are checked by the complex built from the module
+    _rejected_by_the_complex(
+        GroupModule(2, {"S": U_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY}))
+    # S^2 = I != -I, while U^3 = -I and (-I)^2 = I hold
+    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": minus, "-I": minus}))
+    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": minus, "-I": minus}, base=3))
+    # S^2 = U^3 = -I hold, but (-I)^2 = 4096 != I
+    _rejected_by_the_complex(GroupModule(1, {"S": IntegerMatrix([[8]]),
+                                             "U": IntegerMatrix([[4]]),
+                                             "-I": IntegerMatrix([[64]])}))
+
+
+def test_singular_actions_are_rejected_by_the_complex():
+    # no determinant is taken: the relations make S and U invertible, and a
+    # singular S or U breaks them
+    two, one = IntegerMatrix([[2]]), IntegerMatrix([[1]])
+    _rejected_by_the_complex(GroupModule(1, {"S": two, "U": one}))
+    _rejected_by_the_complex(GroupModule(1, {"S": two, "U": one}, base=2))
+    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": two, "-I": one}, base=5))
+    # over F_3, S = 2 acts as -1 and U trivially: a module, and accepted
+    module = GroupModule(1, {"S": two, "U": one}, base=3)
+    assert build_total_complex(module, 4).complex.base == 3
+
+
+def test_construction_forms_no_product_and_takes_no_det(monkeypatch):
+    actions = dict(zip(("S", "U", "-I"), (sym_power_matrix(g, 16) for g in
+                                          (S_MATRIX, U_MATRIX, MINUS_IDENTITY))))
+    calls = []
+    for name in ("__mul__", "__pow__", "det"):
+        original = getattr(IntegerMatrix, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(IntegerMatrix, name, spy)
+    GroupModule(17, actions)
+    GroupModule(17, {"S": actions["S"], "U": actions["U"]}).reduce(5)
+    assert calls == []
 
 
 def test_sym_power_is_multiplicative():

@@ -10,7 +10,7 @@ from genusone.cyclic import CyclicAction, cyclic_cohomology
 from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
 from genusone.group_modules import standard_coefficient_module
-from genusone.oracles import (_bar_differential, _sparse_rows,
+from genusone.oracles import (_bar_differential, _fraction_det, _sparse_rows,
                               _sparse_rows_diagonal, bar_cohomology,
                               determinantal_invariant_factors,
                               random_cyclic_action, random_known_complex,
@@ -87,7 +87,8 @@ def test_oracles_share_no_engine_elimination():
     # the oracles check the engine, so they must never call its elimination
     engine = {"bareiss_rank", "_reduce_on_units", "_diagonal_mod",
               "_divisors_mod_minor", "elementary_divisors",
-              "smith_normal_form", "snf_diagonal", "fp_rank", "cohomology_at"}
+              "smith_normal_form", "snf_diagonal", "fp_rank", "cohomology_at",
+              "det"}
     with open(oracles.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     named = set()
@@ -118,6 +119,14 @@ def test_determinantal_invariant_factors():
         assert determinantal_invariant_factors(a) == want
     with pytest.raises(ValueError):
         determinantal_invariant_factors(IntegerMatrix.zeros(9, 9))
+
+
+def test_fraction_det_matches_bareiss():
+    rng = random.Random(19)
+    for n in range(1, 9):
+        for _ in range(6):
+            a = random_matrix(rng, n, n, bound=rng.choice((1, 6)))
+            assert _fraction_det(a.to_lists()) == a.det(), a.to_lists()
 
 
 # the distinct order-6 rank-3 actions that the oracles suite draws at seed
@@ -273,3 +282,11 @@ def test_bar_degree_validation():
     with pytest.raises(ValueError):
         bar_cohomology(act, -1)
     assert bar_cohomology(act, 0) == [cyclic_cohomology(act, 0)]
+
+
+@pytest.mark.parametrize("base", [0, 1, 4, 6, 9, -2])
+def test_bar_rejects_a_base_that_is_not_prime(base):
+    # a composite base would count divisors prime to it as an F_base rank
+    act = CyclicAction(2, IntegerMatrix([[-1]]))
+    with pytest.raises(ValueError, match="base must be None or a prime"):
+        bar_cohomology(act, 2, base=base)

@@ -5,10 +5,15 @@ refactor that renames or deletes one breaks only the traced benchmark run.
 This test imports the file read-only and installs it against the package.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from importlib import import_module
 from pathlib import Path
 
+import genusone
 import genusone.amalgam as amalgam
 import genusone.checks as checks
 import genusone.exact_linalg as exact_linalg
@@ -63,3 +68,33 @@ def test_tracer_installs_on_every_target_and_restores_them():
     assert exact_linalg.cohomology_at is local
     assert amalgam.cohomology_at is local
     assert checks.SUITES == suites
+
+
+def test_worker_import_path_lets_the_tracer_wrap_every_function():
+    # bench/worker.py imports only genusone and genusone.cli before it
+    # installs the tracer, and Tracer.install lists the loaded genusone
+    # modules before it imports its targets.  A target whose module that
+    # import path leaves out would stay unwrapped in its own module.
+    spans = _load_spans()
+    plain = [(m, q) for m, q, _, _ in spans.TARGETS if "." not in q]
+    assert not [t for t in plain if hasattr(_resolve(*t), "__wrapped__")]
+    script = textwrap.dedent(f"""
+        import types
+        from importlib import import_module
+        import genusone
+        import genusone.cli
+        spans = types.ModuleType("bench_spans")
+        path = {str(SPANS)!r}
+        with open(path, encoding="utf-8") as handle:
+            exec(compile(handle.read(), path, "exec"), spans.__dict__)
+        spans.Tracer().install()
+        for module_name, qualname in {plain!r}:
+            target = getattr(import_module("genusone." + module_name), qualname)
+            if not hasattr(target, "__wrapped__"):
+                print(module_name + "." + qualname)
+    """)
+    src = str(Path(genusone.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
