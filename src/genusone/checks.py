@@ -10,6 +10,7 @@ over the disagreement.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 
 from . import reference
@@ -293,13 +294,25 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(seed))
-        return results
-    if name not in SUITES:
+@dataclass(frozen=True)
+class SuiteRun:
+    name: str
+    seconds: float
+    results: list[CheckResult]
+
+
+def run_suites(name: str, seed: int = 0) -> list[SuiteRun]:
+    """Run one suite, or every suite for ``all``, timing each call once."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; "
                        f"choose from all, {', '.join(SUITES)}")
-    return SUITES[name](seed)
+    runs = []
+    for suite in SUITES if name == "all" else (name,):
+        start = time.perf_counter()
+        results = SUITES[suite](seed)
+        runs.append(SuiteRun(suite, time.perf_counter() - start, results))
+    return runs
+
+
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    return [r for run in run_suites(name, seed) for r in run.results]

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .amalgam import sl2z_cohomology
-from .checks import run_suite, SUITES
+from .checks import run_suites, SUITES
 from .exact_linalg import FgAbelianGroup, group_to_json, inverted_primes
 from .moduli import (DegenerationUnproven, complement_group,
                      half_inverted_group, m11_group)
@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=("all",) + tuple(SUITES))
     verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH")
 
     torsor = sub.add_parser("torsor", help="torsor constructions")
@@ -164,12 +165,26 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, args.seed)
+    runs = run_suites(args.suite, args.seed)
+    results = [r for run in runs for r in run.results]
+    passed = sum(r.passed for r in results)
+    status = 0 if passed == len(results) else 1
+    if args.format == "json":
+        return json.dumps({
+            "suite": args.suite,
+            "seed": args.seed,
+            "passed": passed,
+            "total": len(results),
+            "suites": [{"name": run.name,
+                        "seconds": round(run.seconds, 6),
+                        "checks": [{"name": r.name, "passed": r.passed,
+                                    "detail": r.detail} for r in run.results]}
+                       for run in runs],
+        }, sort_keys=True, indent=2), status
     lines = [f"suite: {args.suite}", f"seed: {args.seed}"]
     lines += [r.line() for r in results]
-    passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
-    return "\n".join(lines), 0 if passed == len(results) else 1
+    return "\n".join(lines), status
 
 
 def _cmd_torsor(args) -> str:

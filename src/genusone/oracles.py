@@ -12,7 +12,12 @@ The bar complex is built on normalized cochains, as sparse rows
 {i: {j: v}}, and stays sparse end to end.  One elimination routine,
 ``_sparse_rows_diagonal``, diagonalizes each of its differentials once;
 the rational rank, the F_p rank and the elementary divisors are all read
-from that diagonal, with no dense matrix in between.
+from that diagonal, with no dense matrix in between.  Each differential
+is eliminated transposed, without the coordinates that the previous
+one's unit pivots cover: those pivots form a unimodular block, so the
+dropped columns add nothing to the image of a differential that follows
+it in a complex (the argument cancels a unit pivot as Kaczynski, Mrozek
+and Slusarek do, 1998; it is spelled out at ``bar_cohomology``).
 """
 
 from __future__ import annotations
@@ -51,8 +56,12 @@ def sparse_diagonal(m: IntegerMatrix) -> list:
     return _sparse_rows_diagonal(_sparse_rows(m))
 
 
-def _sparse_rows_diagonal(rows: dict) -> list:
-    """``sparse_diagonal`` on sparse rows {i: {j: v}}, which it consumes."""
+def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
+    """``sparse_diagonal`` on sparse rows {i: {j: v}}, which it consumes.
+
+    When a dict ``pivots`` is given, each unit pivot (i, j) taken before
+    any content is divided out is recorded in it as ``pivots[j] = i``.
+    """
     # cols[j] lists, append-only, every row that has held column j; the
     # list length is an upper bound on the column count
     cols = {}
@@ -74,6 +83,8 @@ def _sparse_rows_diagonal(rows: dict) -> list:
         if not units:
             continue
         pj = min(units, key=lambda j: len(cols[j]))
+        if pivots is not None:
+            pivots[pj] = pi
         pivot = prow[pj]
         del rows[pi]
         for i in cols.pop(pj):
@@ -266,6 +277,16 @@ def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
     return rows
 
 
+def _transpose_without(rows: dict, cols) -> dict:
+    """The transpose of sparse rows {i: {j: v}}, without the columns in ``cols``."""
+    out = {}
+    for i, entries in rows.items():
+        for j, v in entries.items():
+            if j not in cols:
+                out.setdefault(j, {})[i] = v
+    return out
+
+
 def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     """[H^0, ..., H^n] of a cyclic group via the normalized bar complex.
 
@@ -281,6 +302,27 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     p the entries are reduced to symmetric residues mod p, and the F_p
     rank of d_i is the number of divisors prime to p, since a Smith form
     over Z reduces to one over F_p.
+
+    Each d_i is diagonalized transposed and without the columns that the
+    unit pivots of d_(i-1) took; its own unit pivots are kept for d_(i+1).
+    That leaves its divisors over Z, and its F_p rank, unchanged:
+
+    - Let I be the pivot indices in C^i and J those in C^(i-1) of the
+      unit phase on d_(i-1).  That phase only adds multiples of earlier
+      pivot lines to later lines, and it leaves the block on I x J
+      triangular with +-1 on its diagonal.  So d_(i-1)[I, J] is
+      unimodular over Z, and invertible mod p.
+    - So every x in C^i splits as d_(i-1)(y) + x' with y on J and x' zero
+      on I; y_J solves d_(i-1)[I, J] y_J = x_I.
+    - As d_i d_(i-1) = 0, d_i(x) = d_i(x'): d_i and its restriction to
+      the columns outside I have the same image lattice, hence the same
+      nonzero Smith diagonal over Z (and, mod p, the same F_p rank).
+    - A matrix and its transpose have the same Smith diagonal.
+
+    The argument needs d o d = 0, which
+    ``test_bar_differential_squares_to_zero`` checks over Z and mod 2.  A
+    negative free rank, which only a failure of it can produce, raises
+    RuntimeError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -291,13 +333,19 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     powers = [action.power(i) for i in range(m)]
     groups = []
     rank_in, torsion_in = 0, []
+    pivots = {}
     for i in range(n + 1):
-        diag = _sparse_rows_diagonal(_bar_differential(m, powers, i, base))
+        rows = _transpose_without(_bar_differential(m, powers, i, base), pivots)
+        pivots = {}
+        diag = _sparse_rows_diagonal(rows, pivots)
         if base is None:
             rank_out = len(diag)
         else:
             rank_out = sum(1 for d in diag if d % base)
         free = (m - 1) ** i * r - rank_out - rank_in
+        if free < 0:
+            raise RuntimeError(f"rank d_{i} + rank d_{i - 1} exceeds rank C^{i}; "
+                               "d o d != 0?")
         if base is None:
             groups.append(FgAbelianGroup(free, torsion_in))
             torsion_in = [d for d in diag if d > 1]

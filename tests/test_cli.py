@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from genusone.checks import CheckResult
 from genusone.cli import main
 from genusone.exact_linalg import FgAbelianGroup, group_from_json
 
@@ -130,6 +131,28 @@ def test_verify_exit_codes(capsys):
     assert code == 1
     assert out.count("[FAIL]") == 2
     assert "1/3 checks passed" in out
+
+
+def test_verify_json_lists_each_suite_with_its_time(capsys):
+    code, text, _ = run(capsys, "verify", "tables", "--seed", "3")
+    code_json, out, _ = run(capsys, "verify", "tables", "--seed", "3",
+                            "--format", "json")
+    assert code == code_json == 1
+    payload = json.loads(out)
+    assert {k: payload[k] for k in ("suite", "seed", "passed", "total")} == \
+        {"suite": "tables", "seed": 3, "passed": 1, "total": 3}
+    [suite] = payload["suites"]
+    assert suite["name"] == "tables" and suite["seconds"] >= 0
+    # the same checks as the text report, line for line
+    assert text.splitlines()[2:-1] == [CheckResult(**c).line()
+                                       for c in suite["checks"]]
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    payload = json.loads(out)
+    assert [s["name"] for s in payload["suites"]] == [
+        "tables", "mod2", "torsor", "splitting", "periodicity", "ptorsion",
+        "square", "oracles"]
+    assert payload["total"] == sum(len(s["checks"]) for s in payload["suites"])
+    assert code == 1 and payload["passed"] == payload["total"] - 2
 
 
 def test_verify_unknown_suite_is_a_parse_error(capsys):

@@ -11,7 +11,8 @@ from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
 from genusone.group_modules import standard_coefficient_module
 from genusone.oracles import (_bar_differential, _fraction_det, _sparse_rows,
-                              _sparse_rows_diagonal, bar_cohomology,
+                              _sparse_rows_diagonal, _transpose_without,
+                              bar_cohomology,
                               determinantal_invariant_factors,
                               random_cyclic_action, random_known_complex,
                               rational_rank, sparse_diagonal)
@@ -181,6 +182,54 @@ def test_bar_differential_squares_to_zero(base):
                     assert all(x % base == 0 if base else x == 0
                                for x in product.values()), (order, n, i)
     assert terms > 1000
+
+
+@pytest.mark.parametrize("base", [None, 2, 3])
+def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
+    # replay bar_cohomology's chain: d_n transposed, without the columns
+    # that d_(n-1)'s unit pivots took, has the divisors of the whole d_n
+    # (over F_p, as many prime to p), and its own unit pivots (i, j) span
+    # a block d_n[I, J] of determinant +-1
+    rng = random.Random(25)
+    actions = [random_cyclic_action(rng, order)
+               for order in (2, 3, 4, 6) for _ in range(2)]
+    actions += [CyclicAction(6, IntegerMatrix(g)) for g in _SEED_201_ORDER_6]
+    blocks = 0
+    for act in actions:
+        m, r = act.order, act.rank
+        powers = [act.power(i) for i in range(m)]
+        pivots = {}
+        for n in range(4):
+            full = _bar_differential(m, powers, n, base)
+            rows = _transpose_without(full, pivots)
+            if n == 3 and m == 6:
+                assert len(rows) < (m - 1) ** 3 * r
+            pivots = {}
+            restricted = _sparse_rows_diagonal(rows, pivots)
+            whole = _sparse_rows_diagonal({i: dict(e) for i, e in full.items()})
+            if base is None:
+                assert restricted == whole, (act.gen, n)
+            else:
+                assert (sum(1 for d in restricted if d % base)
+                        == sum(1 for d in whole if d % base)), (act.gen, n)
+            # fraction elimination is cubic in the block size, so the blocks
+            # of 60 to 312 pivots of the order-6 d_2 and d_3 are left to the
+            # diagonal comparison above
+            if 0 < len(pivots) <= 40:
+                block = [[full.get(i, {}).get(j, 0) for j in pivots.values()]
+                         for i in pivots]
+                assert _fraction_det(block) in (1, -1), (act.gen, n)
+                blocks += 1
+    assert blocks >= 2 * len(actions)
+
+
+def test_bar_cohomology_rejects_a_non_complex(monkeypatch):
+    # d_0 = (2) has no unit pivot to drop, so d_1 = (1) keeps its column
+    # and H^1 would get free rank 1 - 1 - 1
+    monkeypatch.setattr(oracles, "_bar_differential",
+                        lambda order, powers, n, base=None: {0: {0: 2 if n == 0 else 1}})
+    with pytest.raises(RuntimeError, match="d o d"):
+        bar_cohomology(CyclicAction(2, IntegerMatrix([[-1]])), 2)
 
 
 def test_bar_mod_p():
