@@ -18,10 +18,11 @@ cohomology of this single complex avoids the extension ambiguities a long
 exact sequence would leave behind; in particular the Z/4 inside
 H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
-The blocks come straight from S, U and the action c of -I; the d o d
-check of the unreduced complex certifies the relations that make them the
-cyclic groups' blocks (``_parity_blocks``).  It is the only check of those
-relations: a ``GroupModule`` checks just its generator names and shapes.
+The blocks come straight from S and U, with -I acting as c = S^2; the
+d o d check of the unreduced complex certifies the relations that make
+them the cyclic groups' blocks (``_parity_blocks``).  It is the only
+check of those relations: a ``GroupModule`` checks just its generator
+names and shapes.
 Each block of D_n depends only on the parity of n once n >= 1, so
 D_n = D_{n+2} for n >= 1 and one matrix serves both.  Each module gets
 one complex, in degrees 0..4, validated once; H^p for p >= 4 is read as
@@ -54,24 +55,24 @@ class AmalgamComplex:
 def _parity_blocks(module: GroupModule):
     """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B).
 
-    With c the action of -I (S^2 if the module has none), (dA, dB, dC, r_A,
-    r_B) is (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
+    With c = S^2, the action of -I, (dA, dB, dC, r_A, r_B) is
+    (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
     (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Nothing is
-    checked here: D_1 o D_0 has S^2 - c and c - U^3 in its C row and
-    (1 + c)(S^2 - 1), (1 + c)(U^3 - 1) in its A and B rows, so the d o d
-    check of the unreduced complex passes only if S^2 = U^3 = c and
-    c^2 = 1 (D_2 o D_1 has c^2 - 1 in its C-C corner too).  Then every
-    block is that of ``cyclic.CyclicAction`` or ``restriction_cochain_matrix``
-    for <S>, <U> and <c>: the norms are 1 + S + S^2 + S^3 and
-    1 + U + ... + U^5.  Over F_p every block is reduced, as built.
+    checked here: D_1 o D_0 has S^2 - U^3 in its C row and
+    (1 + S^2)(S^2 - 1) = S^4 - 1 in its A row, so the d o d check of the
+    unreduced complex passes only if the presentation
+    <S, U | S^4 = 1, S^2 = U^3> of SL2(Z) holds.  Then every block is that
+    of ``cyclic.CyclicAction`` or ``restriction_cochain_matrix`` for <S>,
+    <U> and <c>: the norms are 1 + S + S^2 + S^3 and 1 + U + ... + U^5.
+    Over F_p every block is reduced, as built.
     """
     base = module.base
 
     def reduced(m: IntegerMatrix) -> IntegerMatrix:
         return m if base is None else m.mod(base)
 
-    s, u = module.action("S"), module.action("U")
-    c = module.actions["-I"] if "-I" in module.actions else s * s
+    s, u = module.actions["S"], module.actions["U"]
+    c = s * s
     eye = IntegerMatrix.identity(module.rank)
     res_a = reduced(eye + s)
     res_b = reduced(eye + u + u * u)

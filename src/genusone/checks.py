@@ -25,7 +25,7 @@ from .moduli import (complement_group, m11_group, mod2_consistency,
                      p_torsion_scan)
 from .oracles import (bar_cohomology, random_cyclic_action,
                       random_known_complex, rational_rank, sparse_diagonal)
-from .torsor import (build_canonical_torsor, cycle_lengths, cyclic_group_data,
+from .torsor import (build_canonical_torsor, cyclic_group_data,
                      FiniteGroupData, gl2_z4_group, h1_one_cocycles,
                      torsor_matrix_action, torsor_nontriviality_witness,
                      torsor_translation_orbit)

@@ -6,13 +6,14 @@ SL2(Z) is generated by
     U = [[0, -1], [1, 1]]   of order 6,
 
 with S^2 = U^3 = -I central of order 2, exhibiting the group as the
-amalgamated product Z/4 *_{Z/2} Z/6.  The unipotent T = [[1, 1], [0, 1]]
-is recovered as S^{-1} U.
+amalgamated product Z/4 *_{Z/2} Z/6 with presentation
+<S, U | S^4 = 1, S^2 = U^3> (Serre, *Trees*, I.4).  The unipotent
+T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 
-A ``GroupModule`` stores the matrices by which S, U and optionally -I act,
-and checks only their names and shapes: the relations are certified once,
-by the d o d check of the amalgam complex built from the module.  The
-k-th symmetric power of the standard rank-2 module uses the monomial basis
+A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
+as S^2 and the rank is the size of S.  Construction checks only names
+and shapes: the relations are certified once, by the d o d check of the
+amalgam complex built from the module.  The k-th symmetric power of the standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
 
@@ -31,7 +32,7 @@ S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
 T_MATRIX = IntegerMatrix([[1, 1], [0, 1]])  # equals S^{-1} * U
 MINUS_IDENTITY = IntegerMatrix([[-1, 0], [0, -1]])
-GENERATOR_NAMES = ("S", "U", "-I")
+GENERATOR_NAMES = ("S", "U")
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -74,16 +75,14 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
 class GroupModule:
     """A module for SL2(Z), over Z (base None) or F_p, as a checked record.
 
-    ``actions`` maps "S" and "U", and optionally "-I", to square matrices
-    of size ``rank``.  Construction checks only this form.  The relations
-    S^2 = U^3 = c and c^2 = 1, with c the action of -I (S^2 if absent),
-    are certified in one place: the d o d check of the complex that
-    ``amalgam.build_total_complex`` builds from the module (see
-    ``amalgam._parity_blocks``).  They make S and U invertible, so no
-    determinant is taken.
+    ``actions`` maps exactly "S" and "U" to square matrices of one size,
+    the module's ``rank``; -I acts as S^2.  Construction checks only this
+    form.  The relations S^4 = 1 and S^2 = U^3 are certified in one place:
+    the d o d check of the complex that ``amalgam.build_total_complex``
+    builds from the module (see ``amalgam._parity_blocks``).  They make S
+    and U invertible, so no determinant is taken.
     """
 
-    rank: int
     actions: dict[str, IntegerMatrix]
     base: int | None = None
     name: str = field(default="module", compare=False)
@@ -91,20 +90,19 @@ class GroupModule:
     def __post_init__(self):
         if self.base is not None and not _is_prime(self.base):
             raise ValueError(f"base must be None or a prime, got {self.base}")
-        for gen, mat in self.actions.items():
+        for gen in self.actions:
             if gen not in GENERATOR_NAMES:
-                raise ValueError(f"unknown generator {gen!r}; a module is given "
-                                 f"by S, U and optionally -I")
-            if mat.shape != (self.rank, self.rank):
-                raise ValueError(f"action of {gen} has shape {mat.shape}")
-        for gen in ("S", "U"):
+                raise ValueError(f"unknown generator {gen!r}; a module is given by S and U")
+        for gen in GENERATOR_NAMES:
             if gen not in self.actions:
                 raise ValueError(f"module {self.name!r} needs an action of {gen}")
+        for gen, mat in self.actions.items():
+            if mat.shape != (self.rank, self.rank):
+                raise ValueError(f"action of {gen} has shape {mat.shape}")
 
-    def action(self, gen: str) -> IntegerMatrix:
-        if gen not in self.actions:
-            raise KeyError(f"module {self.name!r} carries no action of {gen}")
-        return self.actions[gen]
+    @property
+    def rank(self) -> int:
+        return self.actions["S"].rows
 
     def reduce(self, p: int) -> "GroupModule":
         """The same module with coefficients reduced mod a prime."""
@@ -112,14 +110,13 @@ class GroupModule:
             raise ValueError("module is already over a prime field")
         if not _is_prime(p):
             raise ValueError(f"can only reduce modulo a prime, got {p}")
-        return GroupModule(self.rank,
-                           {g: m.mod(p) for g, m in self.actions.items()},
+        return GroupModule({g: m.mod(p) for g, m in self.actions.items()},
                            base=p, name=f"{self.name} mod {p}")
 
 
 @lru_cache(maxsize=None)
-def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    return tuple(sym_power_matrix(g, k) for g in (S_MATRIX, U_MATRIX, MINUS_IDENTITY))
+def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix]:
+    return sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k)
 
 
 def standard_coefficient_module(name: str, k: int | None = None,
@@ -135,12 +132,11 @@ def standard_coefficient_module(name: str, k: int | None = None,
         raise ValueError(f"module {name!r} takes no base")
     if name == "trivial_Z":
         one = IntegerMatrix([[1]])
-        return GroupModule(1, {"S": one, "U": one, "-I": one}, name="trivial_Z")
+        return GroupModule({"S": one, "U": one}, name="trivial_Z")
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
-        module = GroupModule(k + 1, dict(zip(GENERATOR_NAMES, _sym_actions(k))),
-                             name=f"sym_{k}")
+        module = GroupModule(dict(zip(GENERATOR_NAMES, _sym_actions(k))), name=f"sym_{k}")
         return module if base is None else module.reduce(base)
     if name == "f2_squared":
         return standard_coefficient_module("sym_k", 1, base=2)

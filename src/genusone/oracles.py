@@ -198,8 +198,9 @@ def _fraction_det(rows: list) -> int:
             value = -value
         value *= rows[col][col]
         for i in range(col + 1, len(rows)):
-            f = rows[i][col] / rows[col][col]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
+            if rows[i][col]:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
     return int(value)
 
 
@@ -320,9 +321,9 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     - A matrix and its transpose have the same Smith diagonal.
 
     The argument needs d o d = 0, which
-    ``test_bar_differential_squares_to_zero`` checks over Z and mod 2.  A
-    negative free rank, which only a failure of it can produce, raises
-    RuntimeError.
+    ``test_bar_differential_squares_to_zero`` checks over Z and mod 2, 3
+    and 5.  A negative free rank, which only a failure of it can produce,
+    raises RuntimeError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

@@ -158,6 +158,13 @@ def torsor_nontriviality_witness(config: TorsorConfiguration | None = None) -> T
     return TorsorWitness(generator, perm, cycle_lengths(perm))
 
 
+def _mat_mul(x: tuple, y: tuple, p: int) -> tuple:
+    """Product of two square matrices (tuples of rows) over F_p."""
+    d = len(x)
+    return tuple(tuple(sum(x[r][m] * y[m][c] for m in range(d)) % p
+                       for c in range(d)) for r in range(d))
+
+
 @dataclass(frozen=True)
 class FiniteGroupData:
     """A finite group as a full multiplication table, acting on F_p^d.
@@ -200,13 +207,8 @@ class FiniteGroupData:
             raise ValueError("identity must act as the identity matrix")
         for _ in range(min(500, n * n)):
             i, j = rng.randrange(n), rng.randrange(n)
-            if self._mat_mul(self.action[i], self.action[j]) != self.action[self.table[i][j]]:
+            if _mat_mul(self.action[i], self.action[j], self.p) != self.action[self.table[i][j]]:
                 raise ValueError("action is not a homomorphism")
-
-    def _mat_mul(self, x, y):
-        d = len(x)
-        return tuple(tuple(sum(x[r][m] * y[m][c] for m in range(d)) % self.p
-                           for c in range(d)) for r in range(d))
 
     @property
     def order(self) -> int:
@@ -246,15 +248,10 @@ def cyclic_group_data(order: int, matrix, p: int) -> FiniteGroupData:
     matrix = tuple(tuple(v % p for v in row) for row in matrix)
     eye = tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
     powers, current = [eye], eye
-
-    def mul(x, y):
-        return tuple(tuple(sum(x[r][m] * y[m][c] for m in range(d)) % p
-                           for c in range(d)) for r in range(d))
-
     for _ in range(order - 1):
-        current = mul(current, matrix)
+        current = _mat_mul(current, matrix, p)
         powers.append(current)
-    if mul(current, matrix) != eye:
+    if _mat_mul(current, matrix, p) != eye:
         raise ValueError(f"matrix order does not divide {order}")
     table = tuple(tuple((i + j) % order for j in range(order)) for i in range(order))
     return FiniteGroupData(tuple(range(order)), table, tuple(powers), p)

@@ -26,47 +26,48 @@ def _rejected_by_the_complex(module):
 
 
 def test_generator_validation():
-    # construction checks the form: a prime base, the names S, U and
-    # optionally -I, square actions of the module's rank
+    # construction checks the form: a prime base, exactly the names S and
+    # U, square actions of one size; -I acts as S^2 and is not an input
     one, minus = IntegerMatrix([[1]]), IntegerMatrix([[-1]])
     with pytest.raises(ValueError, match="base must be None or a prime"):
-        GroupModule(1, {"S": minus, "U": one}, base=4)
+        GroupModule({"S": minus, "U": one}, base=4)
     with pytest.raises(ValueError, match="action of U has shape"):
-        GroupModule(1, {"S": minus, "U": IntegerMatrix.identity(2)})
+        GroupModule({"S": minus, "U": IntegerMatrix.identity(2)})
+    with pytest.raises(ValueError, match="action of S has shape"):
+        GroupModule({"S": IntegerMatrix([[0, 1]]), "U": IntegerMatrix([[0, 1]])})
     with pytest.raises(ValueError, match="unknown generator 'T'"):
-        GroupModule(2, {"S": S_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY,
-                        "T": IntegerMatrix([[1, 0], [0, 2]])})
+        GroupModule({"S": S_MATRIX, "U": U_MATRIX, "T": IntegerMatrix([[1, 0], [0, 2]])})
+    with pytest.raises(ValueError, match="unknown generator '-I'"):
+        GroupModule({"S": S_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY})
     with pytest.raises(ValueError, match="needs an action of U"):
-        GroupModule(1, {"S": minus})
+        GroupModule({"S": minus})
     with pytest.raises(ValueError, match="needs an action of S"):
-        GroupModule(1, {"U": one, "-I": one})
+        GroupModule({"U": one})
+    assert GroupModule({"S": S_MATRIX, "U": U_MATRIX}).rank == 2
     # the relations are checked by the complex built from the module
-    _rejected_by_the_complex(
-        GroupModule(2, {"S": U_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY}))
-    # S^2 = I != -I, while U^3 = -I and (-I)^2 = I hold
-    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": minus, "-I": minus}))
-    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": minus, "-I": minus}, base=3))
-    # S^2 = U^3 = -I hold, but (-I)^2 = 4096 != I
-    _rejected_by_the_complex(GroupModule(1, {"S": IntegerMatrix([[8]]),
-                                             "U": IntegerMatrix([[4]]),
-                                             "-I": IntegerMatrix([[64]])}))
+    _rejected_by_the_complex(GroupModule({"S": U_MATRIX, "U": U_MATRIX}))
+    # S^2 = 1 != -1 = U^3
+    _rejected_by_the_complex(GroupModule({"S": one, "U": minus}))
+    _rejected_by_the_complex(GroupModule({"S": one, "U": minus}, base=3))
+    # S^2 = U^3 = 64, but S^4 = 4096 != 1
+    _rejected_by_the_complex(GroupModule({"S": IntegerMatrix([[8]]),
+                                          "U": IntegerMatrix([[4]])}))
 
 
 def test_singular_actions_are_rejected_by_the_complex():
     # no determinant is taken: the relations make S and U invertible, and a
     # singular S or U breaks them
     two, one = IntegerMatrix([[2]]), IntegerMatrix([[1]])
-    _rejected_by_the_complex(GroupModule(1, {"S": two, "U": one}))
-    _rejected_by_the_complex(GroupModule(1, {"S": two, "U": one}, base=2))
-    _rejected_by_the_complex(GroupModule(1, {"S": one, "U": two, "-I": one}, base=5))
+    _rejected_by_the_complex(GroupModule({"S": two, "U": one}))
+    _rejected_by_the_complex(GroupModule({"S": two, "U": one}, base=2))
+    _rejected_by_the_complex(GroupModule({"S": one, "U": two}, base=5))
     # over F_3, S = 2 acts as -1 and U trivially: a module, and accepted
-    module = GroupModule(1, {"S": two, "U": one}, base=3)
+    module = GroupModule({"S": two, "U": one}, base=3)
     assert build_total_complex(module, 4).complex.base == 3
 
 
 def test_construction_forms_no_product_and_takes_no_det(monkeypatch):
-    actions = dict(zip(("S", "U", "-I"), (sym_power_matrix(g, 16) for g in
-                                          (S_MATRIX, U_MATRIX, MINUS_IDENTITY))))
+    actions = {"S": sym_power_matrix(S_MATRIX, 16), "U": sym_power_matrix(U_MATRIX, 16)}
     calls = []
     for name in ("__mul__", "__pow__", "det"):
         original = getattr(IntegerMatrix, name)
@@ -76,8 +77,7 @@ def test_construction_forms_no_product_and_takes_no_det(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(IntegerMatrix, name, spy)
-    GroupModule(17, actions)
-    GroupModule(17, {"S": actions["S"], "U": actions["U"]}).reduce(5)
+    GroupModule(actions).reduce(5)
     assert calls == []
 
 
@@ -130,10 +130,13 @@ def test_sym_power_low_degrees():
 
 
 def test_minus_identity_acts_by_parity():
-    for k in (1, 2, 3, 4):
+    # -I acts as S^2, so a module needs no third action
+    for k in (0, 1, 2, 3, 4, 19):
         m = sym_power_matrix(MINUS_IDENTITY, k)
         expected = IntegerMatrix.identity(k + 1) * ((-1) ** k)
         assert m == expected
+        s = standard_coefficient_module("sym_k", k).actions["S"]
+        assert s * s == expected
 
 
 def test_standard_modules():
@@ -155,7 +158,7 @@ def test_module_reduction():
     red = sym2.reduce(3)
     assert red.base == 3
     assert red.rank == sym2.rank
-    assert red.action("S") == sym2.action("S").mod(3)
+    assert red.actions["S"] == sym2.actions["S"].mod(3)
 
 
 def test_sym_module_over_a_prime_field_is_the_reduction():
