@@ -13,7 +13,8 @@ T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
 as S^2 and the rank is the size of S.  Construction checks only names
 and shapes: the relations are certified once, by the d o d check of the
-amalgam complex built from the module.  The k-th symmetric power of the standard rank-2 module uses the monomial basis
+amalgam complex built from the module.  The k-th symmetric power of the
+standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
 
