@@ -24,14 +24,28 @@ them the cyclic groups' blocks (``_parity_blocks``).  It is the only
 check of those relations: a ``GroupModule`` checks just its generator
 names and shapes.
 Each block of D_n depends only on the parity of n once n >= 1, so
-D_n = D_{n+2} for n >= 1 and one matrix serves both.  Each module gets
-one complex, in degrees 0..4, validated once; H^p for p >= 4 is read as
-H^{p'}, p' = 2 + p % 2, since H^p needs D_{p-1} and D_p, which are
-D_{p'-1} and D_{p'}.  ``sl2z_cohomology`` caches that complex per
-(k, base); it reduces itself on its unit pivots once and keeps one
-invariants record per reduced differential
-(``exact_linalg.CochainComplex.reduced``), so every H^p reads ranks and
-divisors computed once.
+D_n = D_{n+2} for n >= 1.  Each module gets one complex, in degrees 0..3,
+validated once: the checks of D_1 o D_0 and D_2 o D_1 certify the
+relations, which force D_1 o D_2 = 0, so D_3 = D_1 needs no check.  As
+C^3 = C^1, H^3 = ker D_1 / im D_2 has the free rank of H^2 and the
+torsion of coker D_2, and H^p for p >= 4 is H^{2 + p % 2}.
+
+Over Z the transfer bounds H^2 and H^3.  The commutator subgroup of
+SL2(Z) is free of rank 2 and index 12 (Serre, *Trees*), so cor o res = 12
+kills H^p(SL2(Z), M) for p >= 2 and every M (Brown, *Cohomology of
+Groups*, III.9-10): H^2 and H^3 have no free part, and every elementary
+divisor of D_1 and D_2 divides 12.  So a diagonal form modulo 24 gives
+each one's rank (rows minus the factors 24) and divisors (the factors
+below 24); only D_0, whose divisors are H^1's unbounded torsion, keeps
+``bareiss_rank``.  A rank mod 24 never exceeds the true one, and d o d = 0
+bounds rank D_1 + rank D_2 by rank C^2, so ``transfer_cohomology`` raises
+RuntimeError unless the sum reaches it: equality certifies both ranks and
+rules out a divisor divisible by 24.  Over F_p the reduced differentials
+vanish and dim H^3 = dim H^2.
+
+``sl2z_cohomology`` caches the complex per (k, base); reduced once on its
+unit pivots, it keeps one record per reduced differential
+(``exact_linalg.CochainComplex.reduced``) for every H^p to read.
 """
 
 from __future__ import annotations
@@ -116,14 +130,26 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     return AmalgamComplex(CochainComplex(ranks, diffs, base=module.base))
 
 
-def _folded(complex_: CochainComplex, p: int) -> FgAbelianGroup:
-    """H^p from a degree-4 complex: for p >= 4, D_{p-1} and D_p are D_1, D_2 or D_2, D_3."""
-    return cohomology_at(complex_, p if p < 4 else 2 + p % 2)
+TRANSFER_MODULUS = 24
+
+
+def transfer_cohomology(complex_: CochainComplex, p: int) -> FgAbelianGroup:
+    """H^p(SL2(Z), M) from the degree-3 amalgam complex of M (module docstring)."""
+    if complex_.base is not None or p == 0:
+        return cohomology_at(complex_, min(p, 2))
+    ranks, records = complex_.reduced()
+    reads = [(record.shape[0], record.factors_mod(TRANSFER_MODULUS)) for record in records[1:]]
+    rank_1, rank_2 = (rows - factors.count(TRANSFER_MODULUS) for rows, factors in reads)
+    if rank_1 + rank_2 != ranks[2]:
+        raise RuntimeError(f"transfer bound failed: rank D_1 + rank D_2 < rank C^2 = {ranks[2]}")
+    if p == 1:
+        return FgAbelianGroup(ranks[1] - rank_1 - records[0].rank, records[0].divisors)
+    return FgAbelianGroup(0, [f for f in reads[p % 2][1] if f < TRANSFER_MODULUS])
 
 
 @lru_cache(maxsize=None)
 def _sym_complex(k: int, modulus: int | None) -> AmalgamComplex:
-    return build_total_complex(standard_coefficient_module("sym_k", k, base=modulus), 4)
+    return build_total_complex(standard_coefficient_module("sym_k", k, base=modulus), 3)
 
 
 def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
@@ -136,6 +162,8 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     'Z + Z/2'
     >>> str(sl2z_cohomology(1, 1, modulus=2))
     'Z/2'
+    >>> str(sl2z_cohomology(28, 2))
+    'Z/2 + Z/2 + Z/2 + Z/2 + Z/4'
     """
     if k < 0 or p < 0:
         raise ValueError("k and p must be non-negative")
@@ -144,14 +172,14 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     inverted = inverted_primes(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")
-    group = _folded(_sym_complex(k, modulus).complex, p)
+    group = transfer_cohomology(_sym_complex(k, modulus).complex, p)
     if inverted:
         group = localize(group, inverted)
     return group
 
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
-    """H^p(SL2(Z), M) from the degree-4 complex of M, which checks M's relations."""
+    """H^p(SL2(Z), M) from the degree-3 complex of M, which checks M's relations."""
     if p < 0:
         raise ValueError("p must be non-negative")
-    return _folded(build_total_complex(module, 4).complex, p)
+    return transfer_cohomology(build_total_complex(module, 3).complex, p)

@@ -558,13 +558,19 @@ def elementary_divisors(a: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
     return rank, _divisors_mod_minor(a, rank, minor)
 
 
+def _factors_mod(a: IntegerMatrix, modulus: int) -> tuple[int, ...]:
+    """Invariant factors of Z^rows / (im a + modulus Z^rows) from a diagonal form mod
+    ``modulus``, canonicalised, not counted: diag(8, 3) is diag(1, 0) modulo 24."""
+    pivots = _diagonal_mod(a, modulus)
+    orders = [math.gcd(x, modulus) for x in pivots] + [modulus] * (a.rows - len(pivots))
+    return FgAbelianGroup(0, orders).invariant_factors
+
+
 def _divisors_mod_minor(a: IntegerMatrix, rank: int, minor: int) -> tuple[int, ...]:
     """The divisor pass of ``elementary_divisors``, given ``bareiss_rank(a)``."""
     if minor == 1:
         return ()
-    pivots = _diagonal_mod(a, minor)
-    orders = [math.gcd(x, minor) for x in pivots] + [minor] * (a.rows - len(pivots))
-    factors = FgAbelianGroup(0, orders).invariant_factors
+    factors = _factors_mod(a, minor)
     top = a.rows - rank
     divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
     if stripped != (minor,) * top or minor % math.prod(divisors):
@@ -810,16 +816,17 @@ class DifferentialRecord:
     ``shape`` is the shape of the reduced differential.  Its rank and a
     nonzero maximal minor N come from one ``bareiss_rank`` when first asked
     for, and its elementary divisors from that N when the map is first read
-    as an incoming map.  The matrix itself is released once both are known.
+    as an incoming map.  ``factors_mod(m)`` reads the cokernel mod m instead.
     """
 
-    __slots__ = ("shape", "_matrix", "_rank_minor", "_divisors")
+    __slots__ = ("shape", "_matrix", "_rank_minor", "_divisors", "_mod_factors")
 
     def __init__(self, matrix: IntegerMatrix):
         self.shape = matrix.shape
         self._matrix = matrix
         self._rank_minor = None
         self._divisors = None
+        self._mod_factors = None
 
     def _bareiss(self) -> tuple[int, int]:
         if self._rank_minor is None:
@@ -834,8 +841,13 @@ class DifferentialRecord:
     def divisors(self) -> tuple[int, ...]:
         if self._divisors is None:
             self._divisors = _divisors_mod_minor(self._matrix, *self._bareiss())
-            self._matrix = None
         return self._divisors
+
+    def factors_mod(self, modulus: int) -> tuple[int, ...]:
+        """Invariant factors of coker(d) / modulus coker(d) (``_factors_mod``)."""
+        if self._mod_factors is None or self._mod_factors[0] != modulus:
+            self._mod_factors = (modulus, _factors_mod(self._matrix, modulus))
+        return self._mod_factors[1]
 
 
 class ReducedComplex(NamedTuple):

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 import genusone.amalgam as amalgam
-from genusone.amalgam import (_parity_blocks, _sym_complex, build_total_complex,
-                              sl2z_cohomology, sl2z_cohomology_module)
-from genusone.cyclic import CyclicAction, restriction_cochain_matrix
-from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix, cohomology_at
+from genusone.amalgam import (TRANSFER_MODULUS, _parity_blocks, _sym_complex,
+                              build_total_complex, sl2z_cohomology, sl2z_cohomology_module,
+                              transfer_cohomology)
+from genusone.cyclic import CyclicAction, cyclic_cohomology, restriction_cochain_matrix
+from genusone.exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, cohomology_at,
+                                   localize)
 from genusone.group_modules import (S_MATRIX, T_MATRIX, U_MATRIX, GroupModule, standard_coefficient_module,
                                     sym_power_matrix)
 from genusone.oracles import sparse_diagonal
@@ -233,15 +235,53 @@ def test_f_p_values_match_the_reduced_integral_module(modulus):
             assert sl2z_cohomology(k, p, modulus=modulus) == cohomology_at(cpx, p), (k, p)
 
 
+def _bareiss_groups(module):
+    # H^0..H^3 by cohomology_at on the full degree-4 complex: Bareiss and
+    # the divisor pass on every reduced differential, nothing read mod 24
+    cpx = build_total_complex(module, 4).complex
+    return [cohomology_at(cpx, p) for p in range(4)]
+
+
 def test_transfer_bound_kills_higher_cohomology():
     # the commutator subgroup of SL2(Z) is free of index 12, so cor o res
-    # = 12 kills H^p(SL2(Z), M) for p >= 2: no free part, and every
-    # invariant factor divides 12
-    for k in range(25):
-        for p in (2, 3):
-            group = sl2z_cohomology(k, p)
-            assert group.free_rank == 0, (k, p)
-            assert all(12 % f == 0 for f in group.invariant_factors), (k, p, group)
+    # = 12 kills H^p(SL2(Z), M) for p >= 2; the route reads D_1 and D_2
+    # mod 24 on that theorem, so it is checked against Bareiss here
+    modules = [standard_coefficient_module("sym_k", k) for k in [*range(41), 64, 70]]
+    modules += [_commutator_module(k) for k in (0, 1, 2, 3, 4, 5, 6, 8)]
+    for module in modules:
+        groups = [sl2z_cohomology_module(module, p) for p in range(4)]
+        assert groups == _bareiss_groups(module), module.name
+        for group in groups[2:]:
+            assert group.free_rank == 0, module.name
+            assert all(12 % f == 0 for f in group.invariant_factors), (module.name, group)
+
+
+@pytest.mark.parametrize("divisor", [12, 24, 48])
+def test_transfer_guard_rejects_a_divisor_of_24(divisor):
+    # D_1 = (divisor, 0)^T and D_2 = (0 5) have true ranks 1 + 1 = rank C^2,
+    # so H^2 = Z/divisor; mod 24 a multiple of 24 reads as rank 0 and the
+    # guard fires, where 12 passes
+    cpx = CochainComplex([1, 1, 2, 1], [IntegerMatrix([[0]]), IntegerMatrix([[divisor], [0]]),
+                                        IntegerMatrix([[0, 5]])])
+    assert cohomology_at(cpx, 2) == _t(divisor)
+    if divisor % 24:
+        assert transfer_cohomology(cpx, 2) == _t(divisor)
+        return
+    for p in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="transfer bound failed"):
+            transfer_cohomology(cpx, p)
+
+
+def test_three_primary_pattern_matches_the_order_six_vertex_group():
+    # with 2 inverted, H^p(SL2(Z), Sym^j) = H^p(Z/6, Sym^j) for p >= 2,
+    # Z/6 = <U>: Mayer-Vietoris for the amalgam, whose other terms (Z/4
+    # and Z/2) have 2-primary cohomology.  Z/3 would not do: at odd j,
+    # -I = U^3 acts by -1.  An oracle for the mod-24 route at large k
+    for j in [*range(31), 64, 96]:
+        action = CyclicAction(6, sym_power_matrix(U_MATRIX, j))
+        for p in range(2, 6):
+            want = localize(cyclic_cohomology(action, p), (2,))
+            assert sl2z_cohomology(j, p, invert=(2,)) == want, (j, p)
 
 
 def test_three_primary_pattern_after_inverting_two():
@@ -255,26 +295,33 @@ def test_three_primary_pattern_after_inverting_two():
 
 
 def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
-    # one bareiss_rank per reduced D_0..D_3 of each Sym^k, k <= 19: the
-    # divisors reuse its minor, and every H^p, p >= 4, reads folded records
+    # one bareiss_rank per reduced D_0 of each Sym^k, k <= 19, whose
+    # divisors reuse its minor, and one mod-24 pass each for D_1 and D_2,
+    # however many p are read
     import genusone.exact_linalg as exact_linalg
     from genusone.cli import main
 
-    calls = []
-    original = exact_linalg.bareiss_rank
+    calls, moduli = [], []
+    original, original_factors = exact_linalg.bareiss_rank, exact_linalg._factors_mod
 
     def spy(a):
         calls.append(a.shape)
         return original(a)
 
+    def factors_spy(a, modulus):
+        moduli.append(modulus)
+        return original_factors(a, modulus)
+
     monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
+    monkeypatch.setattr(exact_linalg, "_factors_mod", factors_spy)
     _sym_complex.cache_clear()
     try:
         assert main(["table", "sl2z", "--max-k", "19", "--max-p", "5"]) == 0
     finally:
         _sym_complex.cache_clear()
     assert "Z/12" in capsys.readouterr().out
-    assert 0 < len(calls) <= 80
+    assert len(calls) == 20
+    assert moduli.count(TRANSFER_MODULUS) == 2 * 20
 
 
 def _cyclic_blocks(module):
@@ -358,7 +405,7 @@ def test_sl2z_cohomology_constructs_no_cyclic_action(monkeypatch):
     assert built == []
 
 
-def test_module_route_builds_one_degree_four_complex(monkeypatch):
+def test_module_route_builds_one_degree_three_complex(monkeypatch):
     tops = []
     original = amalgam.build_total_complex
 
@@ -375,7 +422,7 @@ def test_module_route_builds_one_degree_four_complex(monkeypatch):
         for p in range(10):
             explicit = cohomology_at(original(module, p + 2).complex, p)
             assert sl2z_cohomology_module(module, p) == explicit, (module.name, p)
-    assert set(tops) == {4}
+    assert set(tops) == {3}
 
 
 def test_engine_matches_the_benchmark_answer_key():

@@ -113,6 +113,17 @@ def test_p_torsion_scan_small_primes():
     assert p_torsion_scan(5).divisible_factor == 60
 
 
+def test_p_torsion_scan_up_to_47():
+    # odd primes do occur in H^1 at large weight: Z/104160 at q = 31
+    # (k = 32) and Z/119861280 at q = 47 (k = 48)
+    factors = {}
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        witness = p_torsion_scan(q)
+        assert witness.passed, q
+        factors[q] = witness.divisible_factor
+    assert factors[31] == 104160 and factors[47] == 119861280
+
+
 def test_p_torsion_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         p_torsion_scan(2)
