@@ -257,7 +257,7 @@ def test_transfer_bound_kills_higher_cohomology():
 
 
 @pytest.mark.parametrize("divisor", [12, 24, 48])
-def test_transfer_guard_rejects_a_divisor_of_24(divisor):
+def test_transfer_guard_rejects_a_multiple_of_24(divisor):
     # D_1 = (divisor, 0)^T and D_2 = (0 5) have true ranks 1 + 1 = rank C^2,
     # so H^2 = Z/divisor; mod 24 a multiple of 24 reads as rank 0 and the
     # guard fires, where 12 passes
