@@ -235,22 +235,17 @@ def test_f_p_values_match_the_reduced_integral_module(modulus):
             assert sl2z_cohomology(k, p, modulus=modulus) == cohomology_at(cpx, p), (k, p)
 
 
-def _bareiss_groups(module):
-    # H^0..H^3 by cohomology_at on the full degree-4 complex: Bareiss and
-    # the divisor pass on every reduced differential, nothing read mod 24
-    cpx = build_total_complex(module, 4).complex
-    return [cohomology_at(cpx, p) for p in range(4)]
-
-
 def test_transfer_bound_kills_higher_cohomology():
     # the commutator subgroup of SL2(Z) is free of index 12, so cor o res
     # = 12 kills H^p(SL2(Z), M) for p >= 2; the route reads D_1 and D_2
-    # mod 24 on that theorem, so it is checked against Bareiss here
+    # mod 24 on that theorem, so it is checked against cohomology_at on the
+    # full degree-4 complex, with Bareiss on every reduced differential
     modules = [standard_coefficient_module("sym_k", k) for k in [*range(41), 64, 70]]
     modules += [_commutator_module(k) for k in (0, 1, 2, 3, 4, 5, 6, 8)]
     for module in modules:
+        full = build_total_complex(module, 4).complex
         groups = [sl2z_cohomology_module(module, p) for p in range(4)]
-        assert groups == _bareiss_groups(module), module.name
+        assert groups == [cohomology_at(full, p) for p in range(4)], module.name
         for group in groups[2:]:
             assert group.free_rank == 0, module.name
             assert all(12 % f == 0 for f in group.invariant_factors), (module.name, group)
