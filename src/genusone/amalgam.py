@@ -21,8 +21,8 @@ H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 The blocks come straight from S and U, with -I acting as c = S^2; the
 d o d check of the unreduced complex certifies the relations that make
 them the cyclic groups' blocks (``_parity_blocks``).  It is the only
-check of those relations: a ``GroupModule`` checks just its generator
-names and shapes.
+check of those relations: a ``GroupModule`` checks just the shapes of S
+and U.
 Each block of D_n depends only on the parity of n once n >= 1, so
 D_n = D_{n+2} for n >= 1.  Each module gets one complex, in degrees 0..3,
 validated once: the checks of D_1 o D_0 and D_2 o D_1 certify the
@@ -43,9 +43,11 @@ RuntimeError unless the sum reaches it: equality certifies both ranks and
 rules out a divisor divisible by 24.  Over F_p the reduced differentials
 vanish and dim H^3 = dim H^2.
 
-``sl2z_cohomology`` caches the complex per (k, base); reduced once on its
-unit pivots, it keeps one record per reduced differential
-(``exact_linalg.CochainComplex.reduced``) for every H^p to read.
+A ``GroupModule`` is hashable, so one cache keyed by the module holds its
+complex, built once; ``sl2z_cohomology`` reads Sym^k through the same
+cache.  Reduced once on its unit pivots, the complex keeps one record per
+reduced differential (``exact_linalg.CochainComplex.reduced``) for every
+H^p to read.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _parity_blocks(module: GroupModule):
     def reduced(m: IntegerMatrix) -> IntegerMatrix:
         return m if base is None else m.mod(base)
 
-    s, u = module.actions["S"], module.actions["U"]
+    s, u = module.s, module.u
     c = s * s
     eye = IntegerMatrix.identity(module.rank)
     res_a = reduced(eye + s)
@@ -148,8 +150,8 @@ def transfer_cohomology(complex_: CochainComplex, p: int) -> FgAbelianGroup:
 
 
 @lru_cache(maxsize=None)
-def _sym_complex(k: int, modulus: int | None) -> AmalgamComplex:
-    return build_total_complex(standard_coefficient_module("sym_k", k, base=modulus), 3)
+def _module_complex(module: GroupModule) -> CochainComplex:
+    return build_total_complex(module, 3).complex
 
 
 def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
@@ -172,14 +174,12 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
     inverted = inverted_primes(invert)
     if modulus is not None and inverted:
         raise ValueError("choose either a prime field or primes to invert, not both")
-    group = transfer_cohomology(_sym_complex(k, modulus).complex, p)
-    if inverted:
-        group = localize(group, inverted)
-    return group
+    group = sl2z_cohomology_module(standard_coefficient_module("sym_k", k, base=modulus), p)
+    return localize(group, inverted) if inverted else group
 
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
-    """H^p(SL2(Z), M) from the degree-3 complex of M, which checks M's relations."""
+    """H^p(SL2(Z), M) from M's degree-3 complex, built (checking M) once per M."""
     if p < 0:
         raise ValueError("p must be non-negative")
-    return transfer_cohomology(build_total_complex(module, 3).complex, p)
+    return transfer_cohomology(_module_complex(module), p)

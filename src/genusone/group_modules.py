@@ -11,9 +11,9 @@ amalgamated product Z/4 *_{Z/2} Z/6 with presentation
 T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 
 A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
-as S^2 and the rank is the size of S.  Construction checks only names
-and shapes: the relations are certified once, by the d o d check of the
-amalgam complex built from the module.  The k-th symmetric power of the
+as S^2 and the rank is the size of S.  Construction checks only shapes:
+the relations are certified once, by the d o d check of the amalgam
+complex built from the module.  The k-th symmetric power of the
 standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
@@ -33,7 +33,6 @@ S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
 T_MATRIX = IntegerMatrix([[1, 1], [0, 1]])  # equals S^{-1} * U
 MINUS_IDENTITY = IntegerMatrix([[-1, 0], [0, -1]])
-GENERATOR_NAMES = ("S", "U")
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -57,10 +56,10 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
         raise ValueError("symmetric powers are taken of 2x2 matrices here")
     if k < 0:
         raise ValueError("k must be non-negative")
-    if abs(g.det()) != 1:
-        raise ValueError("g must be invertible over Z")
     a, b = g[0][0], g[1][0]  # image of e1
     c, d = g[0][1], g[1][1]  # image of e2
+    if abs(a * d - b * c) != 1:
+        raise ValueError("g must be invertible over Z")
     # powers (a e1 + b e2)^i and (c e1 + d e2)^i for i = 0..k, coefficients
     # by e2-degree; column i is (a e1 + b e2)^(k-i) * (c e1 + d e2)^i
     first, second = [[1]], [[1]]
@@ -74,36 +73,32 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
 
 @dataclass(frozen=True)
 class GroupModule:
-    """A module for SL2(Z), over Z (base None) or F_p, as a checked record.
+    """A module for SL2(Z), over Z (base None) or F_p: the actions S and U.
 
-    ``actions`` maps exactly "S" and "U" to square matrices of one size,
-    the module's ``rank``; -I acts as S^2.  Construction checks only this
-    form.  The relations S^4 = 1 and S^2 = U^3 are certified in one place:
-    the d o d check of the complex that ``amalgam.build_total_complex``
-    builds from the module (see ``amalgam._parity_blocks``).  They make S
-    and U invertible, so no determinant is taken.
+    S and U are square matrices of one size, the module's ``rank``; -I
+    acts as S^2.  Construction checks only this form.  The relations
+    S^4 = 1 and S^2 = U^3 are certified in one place: the d o d check of
+    the complex that ``amalgam.build_total_complex`` builds from the module
+    (see ``amalgam._parity_blocks``).  They make S and U invertible, so no
+    determinant is taken.  Two modules are equal, and hash alike, when
+    their S, U and base are; the ``name`` is a label only.
     """
 
-    actions: dict[str, IntegerMatrix]
+    s: IntegerMatrix
+    u: IntegerMatrix
     base: int | None = None
     name: str = field(default="module", compare=False)
 
     def __post_init__(self):
         if self.base is not None and not _is_prime(self.base):
             raise ValueError(f"base must be None or a prime, got {self.base}")
-        for gen in self.actions:
-            if gen not in GENERATOR_NAMES:
-                raise ValueError(f"unknown generator {gen!r}; a module is given by S and U")
-        for gen in GENERATOR_NAMES:
-            if gen not in self.actions:
-                raise ValueError(f"module {self.name!r} needs an action of {gen}")
-        for gen, mat in self.actions.items():
+        for gen, mat in (("S", self.s), ("U", self.u)):
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
 
     @property
     def rank(self) -> int:
-        return self.actions["S"].rows
+        return self.s.rows
 
     def reduce(self, p: int) -> "GroupModule":
         """The same module with coefficients reduced mod a prime."""
@@ -111,8 +106,7 @@ class GroupModule:
             raise ValueError("module is already over a prime field")
         if not _is_prime(p):
             raise ValueError(f"can only reduce modulo a prime, got {p}")
-        return GroupModule({g: m.mod(p) for g, m in self.actions.items()},
-                           base=p, name=f"{self.name} mod {p}")
+        return GroupModule(self.s.mod(p), self.u.mod(p), base=p, name=f"{self.name} mod {p}")
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +127,11 @@ def standard_coefficient_module(name: str, k: int | None = None,
         raise ValueError(f"module {name!r} takes no base")
     if name == "trivial_Z":
         one = IntegerMatrix([[1]])
-        return GroupModule({"S": one, "U": one}, name="trivial_Z")
+        return GroupModule(one, one, name="trivial_Z")
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
-        module = GroupModule(dict(zip(GENERATOR_NAMES, _sym_actions(k))), name=f"sym_{k}")
+        module = GroupModule(*_sym_actions(k), name=f"sym_{k}")
         return module if base is None else module.reduce(base)
     if name == "f2_squared":
         return standard_coefficient_module("sym_k", 1, base=2)

@@ -21,7 +21,6 @@ comparison suites are expected to flag exactly these two cells.
 from __future__ import annotations
 
 from .exact_linalg import FgAbelianGroup
-from .moduli import EXPECTED_MOD2_DIMS
 
 
 def _g(free_rank: int = 0, *orders: int) -> FgAbelianGroup:
@@ -48,8 +47,6 @@ PUBLISHED_COMPLEMENT = (
     _g(0, 2, 2),
     _g(1, 2, 2, 2, 2, 3),
 )
-
-PUBLISHED_MOD2_DIMS = EXPECTED_MOD2_DIMS
 
 MAX_GRID_K = max(PUBLISHED_SL2Z_GRID)
 

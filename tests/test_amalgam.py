@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import genusone.amalgam as amalgam
-from genusone.amalgam import (TRANSFER_MODULUS, _parity_blocks, _sym_complex,
+from genusone.amalgam import (TRANSFER_MODULUS, _module_complex, _parity_blocks,
                               build_total_complex, sl2z_cohomology, sl2z_cohomology_module,
                               transfer_cohomology)
 from genusone.cyclic import CyclicAction, cyclic_cohomology, restriction_cochain_matrix
@@ -119,10 +119,21 @@ def test_folded_degrees_match_explicit_complexes(modulus):
 
 
 def test_bad_inversion_is_rejected_before_computing():
-    before = _sym_complex.cache_info().misses
+    # every argument is checked before Sym^k is built or a complex looked up
+    from genusone.group_modules import _sym_actions
+
+    def calls():
+        sym = _sym_actions.cache_info()
+        return sym.hits + sym.misses, _module_complex.cache_info().misses
+
+    before = calls()
     with pytest.raises(ValueError, match="can only invert"):
         sl2z_cohomology(30, 2, invert=(1,))
-    assert _sym_complex.cache_info().misses == before
+    with pytest.raises(ValueError, match="must be non-negative"):
+        sl2z_cohomology(10**6, -1)
+    with pytest.raises(ValueError, match="modulus must be a prime"):
+        sl2z_cohomology(10**6, 1, modulus=4)
+    assert calls() == before
 
 
 def test_mod_p_values():
@@ -167,11 +178,11 @@ def _kronecker(p, m):
 
 def _commutator_module(k):
     # S -> +3, U -> +2 on Z[Z/12], Kronecker with Sym^k
-    actions = {}
-    for name, shift, g in (("S", 3, S_MATRIX), ("U", 2, U_MATRIX)):
+    actions = []
+    for shift, g in ((3, S_MATRIX), (2, U_MATRIX)):
         translation = [[int((c + shift) % 12 == d) for c in range(12)] for d in range(12)]
-        actions[name] = _kronecker(translation, sym_power_matrix(g, k))
-    return GroupModule(actions)
+        actions.append(_kronecker(translation, sym_power_matrix(g, k)))
+    return GroupModule(*actions, name=f"Z[Z/12] (x) sym_{k}")
 
 
 def test_shapiro_through_the_commutator_subgroup(monkeypatch):
@@ -206,8 +217,8 @@ def test_shapiro_through_the_commutator_subgroup(monkeypatch):
     assert h1 == ["Z^2", "Z^2", "Z^3 + Z/2", "Z^4 + Z/2 + Z/2", "Z^5 + Z/3 + Z/12",
                   "Z^6 + Z/2 + Z/2", "Z^7 + Z/2 + Z/4 + Z/60",
                   "Z^9 + Z/6 + Z/6 + Z/168"]
-    # sym_power_matrix checks its 2x2 argument; no det of a module's rank
-    assert set(dets) == {(2, 2)}
+    # sym_power_matrix checks its 2x2 argument by ad - bc: no det at all
+    assert dets == []
 
 
 def test_module_interface_f2_squared():
@@ -309,11 +320,11 @@ def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
 
     monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
     monkeypatch.setattr(exact_linalg, "_factors_mod", factors_spy)
-    _sym_complex.cache_clear()
+    _module_complex.cache_clear()
     try:
         assert main(["table", "sl2z", "--max-k", "19", "--max-p", "5"]) == 0
     finally:
-        _sym_complex.cache_clear()
+        _module_complex.cache_clear()
     assert "Z/12" in capsys.readouterr().out
     assert len(calls) == 20
     assert moduli.count(TRANSFER_MODULUS) == 2 * 20
@@ -321,7 +332,7 @@ def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
 
 def _cyclic_blocks(module):
     # the parity blocks as the vertex groups' CyclicActions give them
-    s, u = module.actions["S"], module.actions["U"]
+    s, u = module.s, module.u
     minus = s * s
     a, b, c = (CyclicAction(4, s, module.base), CyclicAction(6, u, module.base),
                CyclicAction(2, minus, module.base))
@@ -353,9 +364,9 @@ def test_factored_blocks_match_the_cyclic_actions():
     (S_MATRIX, T_MATRIX),   # U^3 = T^3 != -I = S^2
 ])
 def test_relations_that_fail_only_in_the_complex_are_rejected(base, s, u):
-    # the module checks only names and shapes; the relations are left to
-    # the d o d check of the complex
-    module = GroupModule({"S": s, "U": u}, base=base)
+    # the module checks only shapes; the relations are left to the d o d
+    # check of the complex
+    module = GroupModule(s, u, base=base)
     for top in (2, 3, 4):
         with pytest.raises(ValueError, match="not a complex"):
             build_total_complex(module, top)
@@ -375,7 +386,7 @@ def test_a_central_element_of_infinite_order_is_rejected(s, u, base):
 
     assert reduced(s ** 2) == reduced(u ** 3)
     assert not reduced(s ** 4).is_identity()
-    module = GroupModule({"S": s, "U": u}, base=base)
+    module = GroupModule(s, u, base=base)
     for top in (2, 3, 4):
         with pytest.raises(ValueError, match="d1 o d0 is not zero"):
             build_total_complex(module, top)
@@ -390,34 +401,46 @@ def test_sl2z_cohomology_constructs_no_cyclic_action(monkeypatch):
         original(self)
 
     monkeypatch.setattr(CyclicAction, "__post_init__", spy)
-    _sym_complex.cache_clear()
+    _module_complex.cache_clear()
     try:
         for modulus in (None, 2, 3):
             sl2z_cohomology(10, 5, modulus=modulus)
         sl2z_cohomology_module(standard_coefficient_module("trivial_Z"), 3)
     finally:
-        _sym_complex.cache_clear()
+        _module_complex.cache_clear()
     assert built == []
 
 
 def test_module_route_builds_one_degree_three_complex(monkeypatch):
-    tops = []
+    # one degree-3 complex per module, however many degrees are read, and
+    # sl2z_cohomology reads Sym^k from the same cache
+    built = []
     original = amalgam.build_total_complex
 
     def spy(module, top_degree):
-        tops.append(top_degree)
+        built.append((module.name, top_degree))
         return original(module, top_degree)
 
     monkeypatch.setattr(amalgam, "build_total_complex", spy)
     modules = [standard_coefficient_module("sym_k", k, base=base)
                for k in (3, 4, 7) for base in (None, 2)]
     modules += [standard_coefficient_module("trivial_Z"),
-                standard_coefficient_module("f2_squared")]
-    for module in modules:
-        for p in range(10):
-            explicit = cohomology_at(original(module, p + 2).complex, p)
-            assert sl2z_cohomology_module(module, p) == explicit, (module.name, p)
-    assert set(tops) == {3}
+                standard_coefficient_module("f2_squared"), _commutator_module(2)]
+    _module_complex.cache_clear()
+    try:
+        for module in modules:
+            for p in range(10):
+                explicit = cohomology_at(original(module, p + 2).complex, p)
+                assert sl2z_cohomology_module(module, p) == explicit, (module.name, p)
+        assert built == [(module.name, 3) for module in modules]
+        for modulus in (None, 2):
+            for p in range(10):
+                sl2z_cohomology(3, p, modulus=modulus)
+        sl2z_cohomology_module(standard_coefficient_module("sym_k", 9), 4)
+        sl2z_cohomology(9, 4)
+    finally:
+        _module_complex.cache_clear()
+    assert built == [(module.name, 3) for module in modules] + [("sym_9", 3)]
 
 
 def test_engine_matches_the_benchmark_answer_key():

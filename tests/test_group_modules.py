@@ -26,48 +26,49 @@ def _rejected_by_the_complex(module):
 
 
 def test_generator_validation():
-    # construction checks the form: a prime base, exactly the names S and
-    # U, square actions of one size; -I acts as S^2 and is not an input
+    # construction checks the form: a prime base and square actions S and U
+    # of one size; -I acts as S^2 and is not an input
     one, minus = IntegerMatrix([[1]]), IntegerMatrix([[-1]])
     with pytest.raises(ValueError, match="base must be None or a prime"):
-        GroupModule({"S": minus, "U": one}, base=4)
+        GroupModule(minus, one, base=4)
     with pytest.raises(ValueError, match="action of U has shape"):
-        GroupModule({"S": minus, "U": IntegerMatrix.identity(2)})
+        GroupModule(minus, IntegerMatrix.identity(2))
     with pytest.raises(ValueError, match="action of S has shape"):
-        GroupModule({"S": IntegerMatrix([[0, 1]]), "U": IntegerMatrix([[0, 1]])})
-    with pytest.raises(ValueError, match="unknown generator 'T'"):
-        GroupModule({"S": S_MATRIX, "U": U_MATRIX, "T": IntegerMatrix([[1, 0], [0, 2]])})
-    with pytest.raises(ValueError, match="unknown generator '-I'"):
-        GroupModule({"S": S_MATRIX, "U": U_MATRIX, "-I": MINUS_IDENTITY})
-    with pytest.raises(ValueError, match="needs an action of U"):
-        GroupModule({"S": minus})
-    with pytest.raises(ValueError, match="needs an action of S"):
-        GroupModule({"U": one})
-    assert GroupModule({"S": S_MATRIX, "U": U_MATRIX}).rank == 2
+        GroupModule(IntegerMatrix([[0, 1]]), IntegerMatrix([[0, 1]]))
+    assert GroupModule(S_MATRIX, U_MATRIX).rank == 2
     # the relations are checked by the complex built from the module
-    _rejected_by_the_complex(GroupModule({"S": U_MATRIX, "U": U_MATRIX}))
+    _rejected_by_the_complex(GroupModule(U_MATRIX, U_MATRIX))
     # S^2 = 1 != -1 = U^3
-    _rejected_by_the_complex(GroupModule({"S": one, "U": minus}))
-    _rejected_by_the_complex(GroupModule({"S": one, "U": minus}, base=3))
+    _rejected_by_the_complex(GroupModule(one, minus))
+    _rejected_by_the_complex(GroupModule(one, minus, base=3))
     # S^2 = U^3 = 64, but S^4 = 4096 != 1
-    _rejected_by_the_complex(GroupModule({"S": IntegerMatrix([[8]]),
-                                          "U": IntegerMatrix([[4]])}))
+    _rejected_by_the_complex(GroupModule(IntegerMatrix([[8]]), IntegerMatrix([[4]])))
+
+
+def test_modules_are_equal_and_hash_alike_by_their_actions():
+    # the name is a label: it takes no part in equality or hashing
+    first = GroupModule(S_MATRIX, U_MATRIX, name="first")
+    second = GroupModule(IntegerMatrix(S_MATRIX.to_lists()), U_MATRIX, name="second")
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, standard_coefficient_module("sym_k", 1)}) == 1
+    assert first != first.reduce(2)
+    assert first != GroupModule(U_MATRIX, S_MATRIX)
 
 
 def test_singular_actions_are_rejected_by_the_complex():
     # no determinant is taken: the relations make S and U invertible, and a
     # singular S or U breaks them
     two, one = IntegerMatrix([[2]]), IntegerMatrix([[1]])
-    _rejected_by_the_complex(GroupModule({"S": two, "U": one}))
-    _rejected_by_the_complex(GroupModule({"S": two, "U": one}, base=2))
-    _rejected_by_the_complex(GroupModule({"S": one, "U": two}, base=5))
+    _rejected_by_the_complex(GroupModule(two, one))
+    _rejected_by_the_complex(GroupModule(two, one, base=2))
+    _rejected_by_the_complex(GroupModule(one, two, base=5))
     # over F_3, S = 2 acts as -1 and U trivially: a module, and accepted
-    module = GroupModule({"S": two, "U": one}, base=3)
+    module = GroupModule(two, one, base=3)
     assert build_total_complex(module, 4).complex.base == 3
 
 
 def test_construction_forms_no_product_and_takes_no_det(monkeypatch):
-    actions = {"S": sym_power_matrix(S_MATRIX, 16), "U": sym_power_matrix(U_MATRIX, 16)}
+    actions = sym_power_matrix(S_MATRIX, 16), sym_power_matrix(U_MATRIX, 16)
     calls = []
     for name in ("__mul__", "__pow__", "det"):
         original = getattr(IntegerMatrix, name)
@@ -77,7 +78,7 @@ def test_construction_forms_no_product_and_takes_no_det(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(IntegerMatrix, name, spy)
-    GroupModule(actions).reduce(5)
+    GroupModule(*actions).reduce(5)
     assert calls == []
 
 
@@ -135,7 +136,7 @@ def test_minus_identity_acts_by_parity():
         m = sym_power_matrix(MINUS_IDENTITY, k)
         expected = IntegerMatrix.identity(k + 1) * ((-1) ** k)
         assert m == expected
-        s = standard_coefficient_module("sym_k", k).actions["S"]
+        s = standard_coefficient_module("sym_k", k).s
         assert s * s == expected
 
 
@@ -158,7 +159,7 @@ def test_module_reduction():
     red = sym2.reduce(3)
     assert red.base == 3
     assert red.rank == sym2.rank
-    assert red.actions["S"] == sym2.actions["S"].mod(3)
+    assert red.s == sym2.s.mod(3) and red.u == sym2.u.mod(3)
 
 
 def test_sym_module_over_a_prime_field_is_the_reduction():

@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,9 @@ import pytest
 import genusone
 
 SOURCES = sorted(Path(genusone.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = sorted(path for folder in ("src", "tests", "bench")
+                for path in (ROOT / folder).rglob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,3 +43,35 @@ def test_the_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nfrom math import gcd, lcm\n"
                      "from x import y\n__all__ = ['y']\nprint(gcd(1, 2))\n")
     assert _unused_imports(tree) == ["lcm (line 2)", "os (line 1)"]
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _dead_names(modules: dict[str, str], texts: list[str]) -> list[str]:
+    # a top-level name is dead if its definition is the only place any of
+    # the texts spells it as a word; dunder names are exempt
+    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
+    return sorted(f"{module}.{name}" for module, source in modules.items()
+                  for name in _top_level_names(ast.parse(source))
+                  if not re.fullmatch(r"__\w+__", name) and words[name] < 2)
+
+
+def test_every_top_level_name_is_used():
+    # a name defined in src/genusone/ that no file under src/, tests/ or
+    # bench/ reads or mentions is dead code
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    texts = [path.read_text(encoding="utf-8") for path in CORPUS]
+    assert _dead_names(modules, texts) == []
+
+
+def test_the_dead_name_check_sees_an_unused_name():
+    source = ("import os\n__version__ = '1'\nUSED, DEAD = 1, 2\nLONE: int = 3\n"
+              "def helper():\n    return USED\nclass Gone:\n    pass\n")
+    assert _dead_names({"m": source}, [source, "helper()"]) == ["m.DEAD", "m.Gone", "m.LONE"]
