@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 
 from . import reference
 from .amalgam import (build_total_complex, sl2z_cohomology,
@@ -116,12 +117,13 @@ def run_torsor(seed: int = 0) -> list[CheckResult]:
         and all(v == k for k, v in minus.items()), ""))
     rng = random.Random(seed)
     group = gl2_z4_group()
+    perm_of = cache(partial(torsor_matrix_action, config=config))  # once per matrix
     functorial = True
     for _ in range(200):
         gi, hi = rng.randrange(group.order), rng.randrange(group.order)
         g, h = group.elements[gi], group.elements[hi]
         gh = group.elements[group.table[gi][hi]]
-        pg, ph, pgh = (torsor_matrix_action(x, config) for x in (g, h, gh))
+        pg, ph, pgh = (perm_of(x) for x in (g, h, gh))
         if any(pgh[t] != pg[ph[t]] for t in config.elements):
             functorial = False
             break
@@ -135,7 +137,7 @@ def run_torsor(seed: int = 0) -> list[CheckResult]:
         t = config.elements[rng.randrange(4)]
         gm = ((g[0][0] * m[0] + g[0][1] * m[1]) % 4,
               (g[1][0] * m[0] + g[1][1] * m[1]) % 4)
-        perm = torsor_matrix_action(g, config)
+        perm = perm_of(g)
         if perm[config.translate(m, t)] != config.translate(gm, perm[t]):
             compatible = False
             break

@@ -27,13 +27,15 @@ class CyclicAction:
     """An action of Z/m on a free module, over Z (base None) or F_p.
 
     The powers g^0, ..., g^{m-1} are computed once, reduced over F_p, and
-    the last of them times g is checked to be the identity.
+    the last of them times g is checked to be the identity.  The periodic
+    complex that ``cyclic_cohomology`` reads is built once, on first use.
     """
 
     order: int
     gen: IntegerMatrix
     base: int | None = None
     _powers: tuple[IntegerMatrix, ...] = field(init=False, repr=False, compare=False)
+    _complex: CochainComplex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base is not None and not _is_prime(self.base):
@@ -102,7 +104,9 @@ def cyclic_cohomology(action: CyclicAction, n: int) -> FgAbelianGroup:
         raise ValueError("degree must be non-negative")
     if n >= 3:  # d_{n-1} and d_n alternate with period 2 from n = 1
         n = 1 + (n - 1) % 2
-    return cohomology_at(periodic_complex(action, n + 1), n)
+    if action._complex is None:
+        object.__setattr__(action, "_complex", periodic_complex(action, 3))
+    return cohomology_at(action._complex, n)
 
 
 def restriction_cochain_matrix(action: CyclicAction, d: int, n: int) -> IntegerMatrix:

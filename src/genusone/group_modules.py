@@ -114,12 +114,18 @@ def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix]:
     return sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k)
 
 
+@lru_cache(maxsize=None)
+def _sym_module(k: int, base: int | None) -> GroupModule:
+    module = GroupModule(*_sym_actions(k), name=f"sym_{k}")
+    return module if base is None else module.reduce(base)
+
+
 def standard_coefficient_module(name: str, k: int | None = None,
                                 base: int | None = None) -> GroupModule:
     """The coefficient systems used throughout: "sym_k", "f2_squared", "trivial_Z".
 
     "sym_k" needs the symmetric-power degree k; with a prime ``base`` it
-    is the integral Sym^k reduced mod base (``GroupModule.reduce``).
+    is the integral Sym^k reduced mod base (``GroupModule.reduce``) once.
     "f2_squared" is the rank-2 mod-2 reduction of the standard module;
     "trivial_Z" is Z with every generator acting as the identity.
     """
@@ -131,8 +137,7 @@ def standard_coefficient_module(name: str, k: int | None = None,
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
-        module = GroupModule(*_sym_actions(k), name=f"sym_{k}")
-        return module if base is None else module.reduce(base)
+        return _sym_module(k, base)
     if name == "f2_squared":
         return standard_coefficient_module("sym_k", 1, base=2)
     raise ValueError(f"unknown coefficient module {name!r}")

@@ -13,11 +13,13 @@ The bar complex is built on normalized cochains, as sparse rows
 ``_sparse_rows_diagonal``, diagonalizes each of its differentials once;
 the rational rank, the F_p rank and the elementary divisors are all read
 from that diagonal, with no dense matrix in between.  Each differential
-is eliminated transposed, without the coordinates that the previous
+is built already transposed, without the coordinates that the previous
 one's unit pivots cover: those pivots form a unimodular block, so the
 dropped columns add nothing to the image of a differential that follows
 it in a complex (the argument cancels a unit pivot as Kaczynski, Mrozek
-and Slusarek do, 1998; it is spelled out at ``bar_cohomology``).
+and Slusarek do, 1998; it is spelled out at ``bar_cohomology``).  The
+tuple pattern of each differential is worked out once per group order
+and degree, and each action only scatters its matrices into it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclic import CyclicAction
-from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix
+from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime
 
 
 def _sparse_rows(m: IntegerMatrix) -> dict:
@@ -79,10 +82,12 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
         prow = rows.get(pi)
         if prow is None or len(prow) != length:
             continue
-        units = [j for j, v in prow.items() if v in (1, -1)]
-        if not units:
+        pj, fewest = None, 0  # the first unit column with the fewest listed rows
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (pj is None or len(cols[j]) < fewest):
+                pj, fewest = j, len(cols[j])
+        if pj is None:
             continue
-        pj = min(units, key=lambda j: len(cols[j]))
         if pivots is not None:
             pivots[pj] = pi
         pivot = prow[pj]
@@ -108,22 +113,15 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
                 del rows[i]
         ones += 1
 
-    content = 0
-    for entries in rows.values():
-        for v in entries.values():
-            content = math.gcd(content, v)
+    content = math.gcd(*(v for entries in rows.values() for v in entries.values()))
     if content > 1:
         # every divisor of the residue is a multiple of its content, and
         # dividing the content out may expose new unit pivots
         residue = {i: {j: v // content for j, v in e.items()} for i, e in rows.items()}
         return sorted([1] * ones + [content * d for d in _sparse_rows_diagonal(residue)])
-    live_rows = sorted(rows)
     live_cols = sorted({j for e in rows.values() for j in e})
-    dense = [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
-    diag = [1] * ones + _dense_gcd_diagonal(dense)
-    diag = [abs(d) for d in diag if d]
-    diag.sort()
-    return diag
+    dense = [[rows[i].get(j, 0) for j in live_cols] for i in sorted(rows)]
+    return sorted([1] * ones + [abs(d) for d in _dense_gcd_diagonal(dense) if d])
 
 
 def _dense_gcd_diagonal(a: list) -> list:
@@ -228,64 +226,66 @@ def determinantal_invariant_factors(m: IntegerMatrix) -> list:
 # truncated bar complex for a finite cyclic group
 
 
-def _bar_differential(order: int, powers: list, n: int, base=None) -> dict:
-    """Sparse rows {i: {j: v}} of d: C^n -> C^(n+1) on the normalized bar
-    cochains, with entries reduced to symmetric residues mod ``base`` when
-    it is given.
-
-    A normalized n-cochain vanishes on every tuple with an identity entry,
-    so C^n is the space of maps (G - 1)^n -> M: tuples of elements 1..m-1,
-    flattened with the tuple index major (base m - 1) and the coordinate
-    index minor.  A merged term whose product is the identity is dropped.
-    """
-    r = powers[0].rows
+@lru_cache(maxsize=None)
+def _bar_pattern(order: int, n: int) -> tuple:
+    """The action-free part of d_n (``_bar_transposed``), per (n+1)-tuple
+    in index order: t_0, the block of (t_1..t_n), the identity sign summed
+    onto that block, and the other identity blocks with nonzero sums."""
     q = order - 1
-    # g_rows[t][c] holds the nonzero (column, value) pairs of row c of g^t
-    g_rows = [[[(j, v) for j, v in enumerate(row) if v] for row in p.to_lists()]
-              for p in powers]
-    last_sign = -1 if n % 2 == 0 else 1
-    half = base // 2 if base is not None else None
-    rows = {}
-
-    def tuple_index(tup):
-        idx = 0
-        for t in tup:
-            idx = idx * q + t - 1
-        return idx
-
-    # row tuples come in index order; each fills the r rows of its block:
-    # g^(t_0) on the block of (t_1..t_n), then identity blocks, one per
-    # merged tuple and one for (t_0..t_(n-1))
+    pattern = []
     for idx, tup in enumerate(itertools.product(range(1, order), repeat=n + 1)):
-        first = idx % q ** n * r
-        terms = []
+        signs = {idx // q: -1 if n % 2 == 0 else 1}
         for i in range(n):
             product = (tup[i] + tup[i + 1]) % order
             if product:
                 merged = tup[:i] + (product,) + tup[i + 2:]
-                terms.append((tuple_index(merged) * r, -1 if i % 2 == 0 else 1))
-        terms.append((idx // q * r, last_sign))
-        for c, g_row in enumerate(g_rows[tup[0]]):
-            row = {first + j: v for j, v in g_row}
-            for col, sign in terms:
-                row[col + c] = row.get(col + c, 0) + sign
-            if base is not None:
-                # symmetric residues, so that -1 stays a unit pivot
-                row = {j: (v + half) % base - half for j, v in row.items()}
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                rows[idx * r + c] = row
-    return rows
+                block = sum((t - 1) * q ** e for e, t in enumerate(reversed(merged)))
+                signs[block] = signs.get(block, 0) + (-1 if i % 2 == 0 else 1)
+        first = idx % q ** n
+        shift = signs.pop(first, 0)
+        pattern.append((tup[0], first, shift, tuple((b, s) for b, s in signs.items() if s)))
+    return tuple(pattern)
 
 
-def _transpose_without(rows: dict, cols) -> dict:
-    """The transpose of sparse rows {i: {j: v}}, without the columns in ``cols``."""
-    out = {}
-    for i, entries in rows.items():
-        for j, v in entries.items():
-            if j not in cols:
-                out.setdefault(j, {})[i] = v
-    return out
+def _bar_transposed(order: int, powers: list, n: int, base=None, drop=()) -> dict:
+    """Sparse rows {j: {i: v}} of the transpose of d: C^n -> C^(n+1) on the
+    normalized bar cochains, without the rows j in ``drop``, each row's
+    columns ascending, entries symmetric residues mod ``base`` if given.
+
+    Normalized n-cochains vanish on tuples with an identity entry, so C^n
+    holds the maps (G - 1)^n -> M, tuple index major (base m - 1) and
+    coordinate minor.  Row block (t_0..t_n) of d holds g^(t_0) on block
+    (t_1..t_n), and signed identities on (t_0..t_(n-1)) and on each merged
+    tuple whose product is not the identity.
+    """
+    r = powers[0].rows
+    half = base // 2 if base is not None else None  # so that -1 stays a unit pivot
+    sign = {s: s if base is None else (s + half) % base - half for s in range(-n - 1, n + 2)}
+    out = [None if j in drop else {} for j in range((order - 1) ** n * r)]
+    g_rows = {}  # (t, shift): per row c of g^t + shift, its nonzero (column, value) pairs
+    i = 0
+    for t0, first, shift, terms in _bar_pattern(order, n):
+        rows = g_rows.get((t0, shift))
+        if rows is None:
+            rows = g_rows[t0, shift] = []
+            for c, row in enumerate(powers[t0].to_lists()):
+                row[c] += shift
+                if base is not None:
+                    row = [(v + half) % base - half for v in row]
+                rows.append([(j, v) for j, v in enumerate(row) if v])
+        first *= r
+        terms = [(b * r, sign[s]) for b, s in terms if sign[s]]
+        for c, row in enumerate(rows):
+            for j, v in row:
+                col = out[first + j]
+                if col is not None:
+                    col[i] = v
+            for b, s in terms:
+                col = out[b + c]
+                if col is not None:
+                    col[i] = s
+            i += 1
+    return {j: col for j, col in enumerate(out) if col}
 
 
 def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
@@ -304,9 +304,10 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     rank of d_i is the number of divisors prime to p, since a Smith form
     over Z reduces to one over F_p.
 
-    Each d_i is diagonalized transposed and without the columns that the
-    unit pivots of d_(i-1) took; its own unit pivots are kept for d_(i+1).
-    That leaves its divisors over Z, and its F_p rank, unchanged:
+    Each d_i is built transposed by ``_bar_transposed``, and without the
+    columns that the unit pivots of d_(i-1) took (rows of the transpose),
+    and diagonalized so; its own unit pivots are kept for d_(i+1).  That leaves its divisors over Z,
+    and its F_p rank, unchanged:
 
     - Let I be the pivot indices in C^i and J those in C^(i-1) of the
       unit phase on d_(i-1).  That phase only adds multiples of earlier
@@ -327,8 +328,7 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if base is not None and (base < 2 or any(base % q == 0
-                                             for q in range(2, math.isqrt(base) + 1))):
+    if base is not None and not _is_prime(base):
         raise ValueError(f"base must be None or a prime, got {base}")
     m, r = action.order, action.rank
     powers = [action.power(i) for i in range(m)]
@@ -336,13 +336,10 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     rank_in, torsion_in = 0, []
     pivots = {}
     for i in range(n + 1):
-        rows = _transpose_without(_bar_differential(m, powers, i, base), pivots)
+        rows = _bar_transposed(m, powers, i, base, pivots)
         pivots = {}
         diag = _sparse_rows_diagonal(rows, pivots)
-        if base is None:
-            rank_out = len(diag)
-        else:
-            rank_out = sum(1 for d in diag if d % base)
+        rank_out = len(diag) if base is None else sum(1 for d in diag if d % base)
         free = (m - 1) ** i * r - rank_out - rank_in
         if free < 0:
             raise RuntimeError(f"rank d_{i} + rank d_{i - 1} exceeds rank C^{i}; "

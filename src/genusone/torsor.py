@@ -290,6 +290,35 @@ def _rank_modp(rows, width: int, p: int) -> int:
     return rank
 
 
+def _f2_cocycle_columns(group: FiniteGroupData) -> list:
+    """The F_2 cocycle equations, one bitmask per unknown (``h1_one_cocycles``).
+
+    Equation (i, j, r) is bit (i n + j) d + r; unknown (x, s), entry s of
+    c(x), is the XOR of one mask per term: c(i) with i = x, g_i c(j) with
+    j = x, and c(ij) with ij = x, one j per i.
+    """
+    n, d = group.order, group.dim
+    width = n * n * d
+
+    def bits(positions) -> int:
+        mask = bytearray((width + 7) // 8)
+        for pos in positions:
+            mask[pos >> 3] |= 1 << (pos & 7)
+        return int.from_bytes(mask, "little")
+
+    stride = sum(1 << j * d for j in range(n))
+    act_mask = [bits(i * n * d + r for i in range(n) for r in range(d)
+                     if group.action[i][r][s]) for s in range(d)]
+    # inverse[i][x] is the j with table[i][j] = x
+    inverse = [sorted(range(n), key=row.__getitem__) for row in group.table]
+    cols = []
+    for x in range(n):
+        kmask = bits((i * n + inverse[i][x]) * d for i in range(n))
+        for s in range(d):
+            cols.append((stride << x * n * d + s) ^ (act_mask[s] << x * d) ^ (kmask << s))
+    return cols
+
+
 def h1_one_cocycles(group: FiniteGroupData) -> int:
     """dim Z^1 - dim B^1 over F_p, from the full |G|^2 system of equations.
 
@@ -297,11 +326,10 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     (g, h) imposes c(gh) = c(g) + g.c(h).  Coboundaries are the maps
     g |-> (g - 1)v.
 
-    Over F_2 the |G|^2 d equations are stored transposed, one bitmask per
-    unknown with bit e for equation e: |G| d long rows instead of |G|^2 d
-    short ones, so ``_rank_f2`` keeps at most |G| d pivots.  The rank is
-    the same, because a matrix and its transpose have equal rank over any
-    field.
+    Over F_2 all |G|^2 d equations are stored transposed, one bitmask per
+    unknown, assembled by blocks (``_f2_cocycle_columns``): |G| d long rows
+    instead of |G|^2 d short ones, so ``_rank_f2`` keeps at most |G| d
+    pivots.  A matrix and its transpose have equal rank over any field.
 
     The ranks come from ``_rank_f2`` and ``_rank_modp``, not from
     ``exact_linalg.fp_rank``, on purpose: the solver is an independent
@@ -311,34 +339,12 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     """
     n, d, p = group.order, group.dim, group.p
     width = n * d
+    # the coboundaries of the basis vectors v: entry (i, r) of g_i v - v
+    brows = [[(act[r][v] - (r == v)) % p for act in group.action for r in range(d)]
+             for v in range(d)]
     if p == 2:
-        cols = [0] * width
-        e = 0
-        for i in range(n):
-            act = group.action[i]
-            for j in range(n):
-                k = group.table[i][j]
-                for r in range(d):
-                    bit = 1 << e
-                    cols[k * d + r] ^= bit
-                    cols[i * d + r] ^= bit
-                    for s in range(d):
-                        if act[r][s]:
-                            cols[j * d + s] ^= bit
-                    e += 1
-        dim_z1 = width - _rank_f2(cols)
-        brows = []
-        for v in range(d):
-            row = 0
-            for i in range(n):
-                act = group.action[i]
-                if act[v][v] != 1:
-                    row ^= 1 << (i * d + v)
-                for r in range(d):
-                    if r != v and act[r][v]:
-                        row ^= 1 << (i * d + r)
-            brows.append(row)
-        dim_b1 = _rank_f2(brows)
+        dim_z1 = width - _rank_f2(_f2_cocycle_columns(group))
+        dim_b1 = _rank_f2(sum(c << e for e, c in enumerate(row)) for row in brows)
     else:
         rows = []
         for i in range(n):
@@ -353,13 +359,5 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
                         coeff[j * d + s] -= act[r][s]
                     rows.append([v % p for v in coeff])
         dim_z1 = width - _rank_modp(rows, width, p)
-        brows = []
-        for v in range(d):
-            coeff = [0] * width
-            for i in range(n):
-                act = group.action[i]
-                for r in range(d):
-                    coeff[i * d + r] = (act[r][v] - int(r == v)) % p
-            brows.append(coeff)
         dim_b1 = _rank_modp(brows, width, p)
     return dim_z1 - dim_b1

@@ -176,6 +176,21 @@ def test_sym_module_over_a_prime_field_is_the_reduction():
         standard_coefficient_module("trivial_Z", base=2)
 
 
+def test_sym_module_over_a_prime_field_is_reduced_once(monkeypatch):
+    # the record is kept per (k, p), so a later call reduces nothing
+    first = standard_coefficient_module("sym_k", 23, base=7)
+    reductions = []
+    original = GroupModule.reduce
+
+    def spy(module, p):
+        reductions.append(p)
+        return original(module, p)
+
+    monkeypatch.setattr(GroupModule, "reduce", spy)
+    assert standard_coefficient_module("sym_k", 23, base=7) is first
+    assert reductions == []
+
+
 @pytest.mark.parametrize("p", [0, 1, 4])
 def test_reduction_rejects_non_prime(p):
     with pytest.raises(ValueError, match="can only reduce modulo a prime"):

@@ -10,9 +10,8 @@ from genusone.cyclic import CyclicAction, cyclic_cohomology
 from genusone.exact_linalg import (FgAbelianGroup, IntegerMatrix,
                                    cohomology_at, snf_diagonal)
 from genusone.group_modules import standard_coefficient_module
-from genusone.oracles import (_bar_differential, _fraction_det, _sparse_rows,
-                              _sparse_rows_diagonal, _transpose_without,
-                              bar_cohomology,
+from genusone.oracles import (_bar_transposed, _fraction_det, _sparse_rows,
+                              _sparse_rows_diagonal, bar_cohomology,
                               determinantal_invariant_factors,
                               random_cyclic_action, random_known_complex,
                               rational_rank, sparse_diagonal)
@@ -154,10 +153,72 @@ def test_bar_matches_periodic_resolution():
             assert groups[n] == cyclic_cohomology(act, n), (act.order, n)
 
 
+def _bar_differential(order, powers, n, base=None):
+    # the row-wise reference: sparse rows {i: {j: v}} of d: C^n -> C^(n+1),
+    # one dict per (n+1)-tuple coordinate, g^(t_0) on the block of
+    # (t_1..t_n), then signed identity blocks on the merged tuples and on
+    # (t_0..t_(n-1)), summed entry by entry
+    r = powers[0].rows
+    q = order - 1
+    g_rows = [[[(j, v) for j, v in enumerate(row) if v] for row in p.to_lists()]
+              for p in powers]
+    last_sign = -1 if n % 2 == 0 else 1
+    half = base // 2 if base is not None else None
+    rows = {}
+
+    def tuple_index(tup):
+        idx = 0
+        for t in tup:
+            idx = idx * q + t - 1
+        return idx
+
+    for idx, tup in enumerate(itertools.product(range(1, order), repeat=n + 1)):
+        first = idx % q ** n * r
+        terms = []
+        for i in range(n):
+            product = (tup[i] + tup[i + 1]) % order
+            if product:
+                merged = tup[:i] + (product,) + tup[i + 2:]
+                terms.append((tuple_index(merged) * r, -1 if i % 2 == 0 else 1))
+        terms.append((idx // q * r, last_sign))
+        for c, g_row in enumerate(g_rows[tup[0]]):
+            row = {first + j: v for j, v in g_row}
+            for col, sign in terms:
+                row[col + c] = row.get(col + c, 0) + sign
+            if base is not None:
+                row = {j: (v + half) % base - half for j, v in row.items()}
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                rows[idx * r + c] = row
+    return rows
+
+
+@pytest.mark.parametrize("base", [None, 2, 3, 5])
+def test_transposed_bar_builder_is_the_transpose_of_the_row_builder(base):
+    # with nothing dropped, the builder gives the transpose of the row-wise
+    # reference, each row listing its columns in ascending order (the order
+    # the elimination reads, so its pivots follow from it)
+    rng = random.Random(26)
+    for order in (2, 3, 4, 6):
+        for _ in range(2):
+            act = random_cyclic_action(rng, order)
+            powers = [act.power(i) for i in range(order)]
+            for n in range(4):
+                want = {}
+                for i, row in _bar_differential(order, powers, n, base).items():
+                    for j, v in row.items():
+                        want.setdefault(j, {})[i] = v
+                got = _bar_transposed(order, powers, n, base)
+                assert got == want, (order, n)
+                assert all(list(row) == sorted(row) for row in got.values())
+
+
 @pytest.mark.parametrize("base", [None, 2, 3, 5])
 def test_bar_differential_squares_to_zero(base):
-    # d_{n+1} d_n = 0 on the normalized sparse rows, over Z or modulo
-    # base; d_n maps (m - 1)^n r coordinates to (m - 1)^(n + 1) r
+    # d_{n+1} d_n = 0 on the transposed sparse rows, over Z or modulo base:
+    # row j of d_n^T lists (i, v) with d_n[i][j] = v, for j among the
+    # (m - 1)^n r coordinates of C^n and i among the (m - 1)^(n + 1) r of
+    # C^(n+1), and d_{n+1} d_n [k][j] is the sum of d_n^T[j][i] d_{n+1}^T[i][k]
     rng = random.Random(20)
     terms = 0
     for order in (2, 3, 4, 6):
@@ -167,29 +228,29 @@ def test_bar_differential_squares_to_zero(base):
             if base is not None:
                 powers = [p.mod(base) for p in powers]
             for n in range(3):
-                inner = _bar_differential(order, powers, n, base)
-                outer = _bar_differential(order, powers, n + 1, base)
+                inner = _bar_transposed(order, powers, n, base)
+                outer = _bar_transposed(order, powers, n + 1, base)
                 width = (order - 1) ** n * act.rank
-                assert all(0 <= i < width * (order - 1) and
-                           all(0 <= j < width for j in row)
-                           for i, row in inner.items())
-                for i, row in outer.items():
+                assert all(0 <= j < width and
+                           all(0 <= i < width * (order - 1) for i in row)
+                           for j, row in inner.items())
+                for j, row in inner.items():
                     product = {}
-                    for j, v in row.items():
-                        for col, w in inner.get(j, {}).items():
-                            product[col] = product.get(col, 0) + v * w
+                    for i, v in row.items():
+                        for k, w in outer.get(i, {}).items():
+                            product[k] = product.get(k, 0) + v * w
                             terms += 1
                     assert all(x % base == 0 if base else x == 0
-                               for x in product.values()), (order, n, i)
+                               for x in product.values()), (order, n, j)
     assert terms > 1000
 
 
 @pytest.mark.parametrize("base", [None, 2, 3])
 def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
-    # replay bar_cohomology's chain: d_n transposed, without the columns
-    # that d_(n-1)'s unit pivots took, has the divisors of the whole d_n
-    # (over F_p, as many prime to p), and its own unit pivots (i, j) span
-    # a block d_n[I, J] of determinant +-1
+    # replay bar_cohomology's chain: d_n transposed, without the rows that
+    # d_(n-1)'s unit pivots took, has the divisors of the whole d_n (over
+    # F_p, as many prime to p), and its own unit pivots, each (row j of
+    # d_n^T, column i), span a block d_n[I, J] of determinant +-1
     rng = random.Random(25)
     actions = [random_cyclic_action(rng, order)
                for order in (2, 3, 4, 6) for _ in range(2)]
@@ -200,13 +261,13 @@ def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
         powers = [act.power(i) for i in range(m)]
         pivots = {}
         for n in range(4):
-            full = _bar_differential(m, powers, n, base)
-            rows = _transpose_without(full, pivots)
+            full = _bar_transposed(m, powers, n, base)
+            rows = _bar_transposed(m, powers, n, base, pivots)
             if n == 3 and m == 6:
                 assert len(rows) < (m - 1) ** 3 * r
             pivots = {}
             restricted = _sparse_rows_diagonal(rows, pivots)
-            whole = _sparse_rows_diagonal({i: dict(e) for i, e in full.items()})
+            whole = _sparse_rows_diagonal({j: dict(e) for j, e in full.items()})
             if base is None:
                 assert restricted == whole, (act.gen, n)
             else:
@@ -217,7 +278,7 @@ def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
             # the 208- and 312-pivot blocks are left to the diagonal
             # comparison above
             if 0 < len(pivots) < 200:
-                block = [[full.get(i, {}).get(j, 0) for j in pivots.values()]
+                block = [[full.get(j, {}).get(i, 0) for j in pivots.values()]
                          for i in pivots]
                 assert _fraction_det(block) in (1, -1), (act.gen, n)
                 blocks += 1
@@ -225,10 +286,12 @@ def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
 
 
 def test_bar_cohomology_rejects_a_non_complex(monkeypatch):
-    # d_0 = (2) has no unit pivot to drop, so d_1 = (1) keeps its column
-    # and H^1 would get free rank 1 - 1 - 1
-    monkeypatch.setattr(oracles, "_bar_differential",
-                        lambda order, powers, n, base=None: {0: {0: 2 if n == 0 else 1}})
+    # d_0 = (2) has no unit pivot to drop, so d_1 = (1) keeps its row in
+    # the transposed form and H^1 would get free rank 1 - 1 - 1
+    def non_complex(order, powers, n, base=None, drop=()):
+        return {j: {0: 2 if n == 0 else 1} for j in (0,) if j not in drop}
+
+    monkeypatch.setattr(oracles, "_bar_transposed", non_complex)
     with pytest.raises(RuntimeError, match="d o d"):
         bar_cohomology(CyclicAction(2, IntegerMatrix([[-1]])), 2)
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from genusone.torsor import (FiniteGroupData, _rank_f2, build_canonical_torsor,
+from genusone.torsor import (FiniteGroupData, _f2_cocycle_columns, _rank_f2,
+                             build_canonical_torsor,
                              cycle_lengths, cyclic_group_data, gl2_z4_group,
                              h1_one_cocycles, torsor_matrix_action,
                              torsor_nontriviality_witness,
@@ -96,6 +97,40 @@ def test_gl2_z4_order_and_h1():
     trivial = FiniteGroupData((0,), ((0,),), (((1, 0), (0, 1)),), 2)
     assert h1_one_cocycles(trivial) == 0
     assert h1_one_cocycles(cyclic_group_data(3, ((1,),), 2)) == 0
+
+
+def _cocycle_columns_by_equation(group):
+    # the per-equation reference: equation e = (i n + j) d + r XORs its bit
+    # into the columns of c(ij)_r, c(i)_r and every (j, s) with act_i[r][s]
+    n, d = group.order, group.dim
+    cols = [0] * (n * d)
+    e = 0
+    for i in range(n):
+        act = group.action[i]
+        for j in range(n):
+            k = group.table[i][j]
+            for r in range(d):
+                bit = 1 << e
+                cols[k * d + r] ^= bit
+                cols[i * d + r] ^= bit
+                for s in range(d):
+                    if act[r][s]:
+                        cols[j * d + s] ^= bit
+                e += 1
+    return cols
+
+
+def test_block_cocycle_columns_match_the_per_equation_system():
+    # the torsor suite's F_2 systems: GL_2(Z/4), the trivial group, Z/3,
+    # and its cyclic cases taken mod 2
+    groups = [gl2_z4_group(),
+              FiniteGroupData((0,), ((0,),), (((1, 0), (0, 1)),), 2),
+              cyclic_group_data(3, ((1,),), 2)]
+    groups += [cyclic_group_data(order, mat, 2)
+               for order, mat in ((4, ((0, -1), (1, 0))), (6, ((0, -1), (1, 1))),
+                                  (2, ((0, 1), (1, 0))), (5, ((1,),)))]
+    for group in groups:
+        assert _f2_cocycle_columns(group) == _cocycle_columns_by_equation(group), group.order
 
 
 def test_gl2_z4_table_is_the_matrix_product():
