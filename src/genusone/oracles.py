@@ -231,19 +231,17 @@ def _bar_pattern(order: int, n: int) -> tuple:
     """The action-free part of d_n (``_bar_transposed``), per (n+1)-tuple
     in index order: t_0, the block of (t_1..t_n), the identity sign summed
     onto that block, and the other identity blocks with nonzero sums."""
-    q = order - 1
+    index = {tup: i for i, tup in enumerate(itertools.product(range(1, order), repeat=n))}
     pattern = []
-    for idx, tup in enumerate(itertools.product(range(1, order), repeat=n + 1)):
-        signs = {idx // q: -1 if n % 2 == 0 else 1}
+    for tup in itertools.product(range(1, order), repeat=n + 1):
+        signs = {index[tup[:-1]]: (-1) ** (n + 1)}
         for i in range(n):
             product = (tup[i] + tup[i + 1]) % order
             if product:
-                merged = tup[:i] + (product,) + tup[i + 2:]
-                block = sum((t - 1) * q ** e for e, t in enumerate(reversed(merged)))
-                signs[block] = signs.get(block, 0) + (-1 if i % 2 == 0 else 1)
-        first = idx % q ** n
-        shift = signs.pop(first, 0)
-        pattern.append((tup[0], first, shift, tuple((b, s) for b, s in signs.items() if s)))
+                block = index[tup[:i] + (product,) + tup[i + 2:]]
+                signs[block] = signs.get(block, 0) + (-1) ** (i + 1)
+        first = index[tup[1:]]
+        pattern.append((tup[0], first, signs.pop(first, 0), tuple((b, s) for b, s in signs.items() if s)))
     return tuple(pattern)
 
 
