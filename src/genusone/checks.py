@@ -247,15 +247,17 @@ def run_oracles(seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     orders = (2, 3, 4, 6)
     mism = []
-    # the draws repeat actions (rank 1 is +-1 only); a repeated action has
-    # the same bar complex, so its groups are computed once and compared
-    # with the periodic resolution again under each case index
-    bar_groups = {}
+    # the draws repeat actions (rank 1 is +-1 only); a repeated action is
+    # read through its first drawn instance, so its bar groups and its
+    # periodic complex are built once, and compared again under each case
+    # index
+    first = {}
     for i in range(50):
         action = random_cyclic_action(rng, orders[i % 4])
-        if action not in bar_groups:
-            bar_groups[action] = bar_cohomology(action, 3)
-        for n, direct in enumerate(bar_groups[action]):
+        if action not in first:
+            first[action] = (action, bar_cohomology(action, 3))
+        action, bar_groups = first[action]
+        for n, direct in enumerate(bar_groups):
             periodic = cyclic_cohomology(action, n)
             if direct != periodic:
                 mism.append(f"case {i} (order {action.order}, rank "

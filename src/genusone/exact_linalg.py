@@ -4,7 +4,8 @@ Matrices are ``IntegerMatrix`` values of arbitrary-precision Python
 integers, stored as sparse rows of their nonzero (column, value) pairs.
 Products, sums, blocks, the d o d check of a ``CochainComplex`` and the
 unit-pivot reduction work on that form; only the eliminations (Bareiss,
-the divisor pass, ``det``, ``smith_normal_form``) densify, locally.  There
+the divisor pass, ``smith_normal_form``) densify, locally; ``det`` reads
+the signed last pivot of the Bareiss pass that ``bareiss_rank`` runs.  There
 is deliberately no floating point and no fixed-width arithmetic anywhere.
 The central operations are
 
@@ -258,27 +259,11 @@ class IntegerMatrix:
             (j, r) for j, x in _pairs(row) if (r := x % p))) for row in self._rows), self.cols)
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant: the signed last pivot of the Bareiss pass (``_bareiss``)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, pivot, sign = _bareiss(self)
+        return sign * pivot if rank == self.rows else 0
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -456,23 +441,28 @@ def smith_normal_form(a: IntegerMatrix):
     return um, dm, vm
 
 
-def bareiss_rank(a: IntegerMatrix) -> tuple[int, int]:
-    """Rank r of ``a`` and N = |last pivot| of fraction-free elimination.
+def _bareiss(a: IntegerMatrix) -> tuple[int, int, int]:
+    """Rank r, last pivot and row-order sign of fraction-free elimination.
 
     After the t-th Bareiss step every live entry is a (t+1) x (t+1) minor of
     ``a``, so coefficients stay within Hadamard's bound and each division by
-    the previous pivot is exact; an inexact one raises RuntimeError.  N is a
-    nonzero r x r minor, hence a multiple of the product of the elementary
-    divisors.  The zero matrix has r = 0 and N = 1.
+    the previous pivot is exact; an inexact one raises RuntimeError.  The
+    last pivot is the r x r minor on the pivot rows, taken in pivot order,
+    and the sign is that order's: popping row i of the remaining rows moves
+    it past i rows.  At full rank of a square ``a`` no row is dropped, so
+    sign * pivot is det(a).  The zero matrix has r = 0 and pivot 1.
     """
     rows = [_dense(row, a.cols) for row in a.sparse_rows() if row]
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     while rows and rows[0]:
         live = [i for i, row in enumerate(rows) if row[0]]
         if not live:
             rows = [row[1:] for row in rows]
             continue
-        pivot_row = rows.pop(min(live, key=lambda i: abs(rows[i][0])))
+        i = min(live, key=lambda t: abs(rows[t][0]))
+        if i % 2:
+            sign = -sign
+        pivot_row = rows.pop(i)
         pivot, tail = pivot_row[0], pivot_row[1:]
         out = []
         for row in rows:
@@ -490,7 +480,16 @@ def bareiss_rank(a: IntegerMatrix) -> tuple[int, int]:
                 out.append(vals)
         rows = out
         rank, prev = rank + 1, pivot
-    return rank, abs(prev)
+    return rank, prev, sign
+
+
+def bareiss_rank(a: IntegerMatrix) -> tuple[int, int]:
+    """Rank r of ``a`` and N = |last pivot| of fraction-free elimination
+    (``_bareiss``).  N is a nonzero r x r minor, hence a multiple of the
+    product of the elementary divisors.  The zero matrix has r = 0, N = 1.
+    """
+    rank, pivot, _ = _bareiss(a)
+    return rank, abs(pivot)
 
 
 def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
@@ -587,12 +586,14 @@ def snf_diagonal(a: IntegerMatrix) -> list[int]:
 
 
 def fp_rank(rows: Iterable[Iterable[int]], p: int) -> int:
-    """Rank over F_p of a matrix given as an iterable of integer rows."""
+    """Rank over F_p of a matrix given as an iterable of integer rows of one length."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     mat = [[x % p for x in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
+    if any(len(row) != ncols for row in mat):
+        raise ValueError("rows of unequal length")
     for col in range(ncols):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:

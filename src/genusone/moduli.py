@@ -171,10 +171,8 @@ def p_torsion_scan(q: int) -> PTorsionWitness:
     fixed = []
     for g in (S_MATRIX, T_MATRIX):
         action = sym_power_matrix(g, k)
-        image = action * IntegerMatrix([[v] for v in vector], cols=1)
-        fixed.append(all(
-            (image.to_lists()[i][0] - vector[i]) % q == 0 for i in range(k + 1)
-        ))
+        image = (action * IntegerMatrix([[v] for v in vector], cols=1)).to_lists()
+        fixed.append(all((row[0] - v) % q == 0 for row, v in zip(image, vector)))
     h1 = sl2z_cohomology(k, 1)
     factor = next((d for d in h1.invariant_factors if d % q == 0), None)
     return PTorsionWitness(q, tuple(vector), fixed[0], fixed[1], h1, factor)

@@ -4,9 +4,10 @@ Everything here deliberately avoids the elimination strategy and the
 transform bookkeeping of ``exact_linalg``: ranks and elementary divisors
 come from a sparse gcd diagonalization, small invariant factors from
 determinantal divisors, rational ranks and those divisors' minors from
-fraction elimination, and cyclic-group cohomology from a truncated bar
-complex.  The verification suites assert agreement between these routes
-and the production ones.
+one forward fraction elimination (``_fraction_pivots``: a rank counts its
+pivots, a minor is their signed product), and cyclic-group cohomology
+from a truncated bar complex.  The verification suites assert agreement
+between these routes and the production ones.
 
 The bar complex is built on normalized cochains, as sparse rows
 {i: {j: v}}, and stays sparse end to end.  One elimination routine,
@@ -161,45 +162,38 @@ def _dense_gcd_diagonal(a: list) -> list:
     return out
 
 
-def rational_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals by plain fraction elimination."""
-    rows = [[Fraction(v) for v in row] for row in m.to_lists()]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < m.cols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+def _fraction_pivots(rows: list, cols: int) -> tuple[list, int]:
+    """Pivots of forward fraction elimination on integer ``rows`` of width
+    ``cols``, in order, and the sign of its row swaps."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots, sign = [], 1
+    for col in range(cols):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            sign = -sign
+        head = rows[top]
+        pivots.append(head[col])
+        for i in range(top + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / head[col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], head)]
+    return pivots, sign
+
+
+def rational_rank(m: IntegerMatrix) -> int:
+    """Rank over the rationals: the number of fraction-elimination pivots."""
+    return len(_fraction_pivots(m.to_lists(), m.cols)[0])
 
 
 def _fraction_det(rows: list) -> int:
-    """Determinant of a square list of integer rows by fraction elimination."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    value = Fraction(1)
-    for col in range(len(rows)):
-        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            value = -value
-        value *= rows[col][col]
-        for i in range(col + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
-    return int(value)
+    """Determinant of a square list of integer rows: the signed product of
+    its fraction-elimination pivots, 0 if one is missing."""
+    pivots, sign = _fraction_pivots(rows, len(rows))
+    return sign * int(math.prod(pivots)) if len(pivots) == len(rows) else 0
 
 
 def determinantal_invariant_factors(m: IntegerMatrix) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact_linalg import _is_prime
+from .exact_linalg import _is_prime, fp_rank
 
 MODULUS = 4
 
@@ -270,26 +270,6 @@ def _rank_f2(rows) -> int:
     return len(pivots)
 
 
-def _rank_modp(rows, width: int, p: int) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(v - c * w) % p for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _f2_cocycle_columns(group: FiniteGroupData) -> list:
     """The F_2 cocycle equations, one bitmask per unknown (``h1_one_cocycles``).
 
@@ -331,11 +311,11 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
     instead of |G|^2 d short ones, so ``_rank_f2`` keeps at most |G| d
     pivots.  A matrix and its transpose have equal rank over any field.
 
-    The ranks come from ``_rank_f2`` and ``_rank_modp``, not from
-    ``exact_linalg.fp_rank``, on purpose: the solver is an independent
-    check on the resolution-based engine (the ``torsor`` suite compares it
-    with the periodic-resolution H^1), so it shares no elimination code
-    with it.
+    The ranks come from ``_rank_f2`` and ``exact_linalg.fp_rank``, a
+    dense reference that the engine never calls (its F_p route is the
+    unit-pivot reduction): the solver is an independent check on the
+    resolution-based engine (the ``torsor`` suite compares it with the
+    periodic-resolution H^1), so it shares no elimination code with it.
     """
     n, d, p = group.order, group.dim, group.p
     width = n * d
@@ -357,7 +337,7 @@ def h1_one_cocycles(group: FiniteGroupData) -> int:
                     coeff[i * d + r] -= 1
                     for s in range(d):
                         coeff[j * d + s] -= act[r][s]
-                    rows.append([v % p for v in coeff])
-        dim_z1 = width - _rank_modp(rows, width, p)
-        dim_b1 = _rank_modp(brows, width, p)
+                    rows.append(coeff)
+        dim_z1 = width - fp_rank(rows, p)
+        dim_b1 = fp_rank(brows, p)
     return dim_z1 - dim_b1

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from genusone import checks
+from genusone import checks, cyclic
 from genusone.checks import SUITES, run_oracles, run_suite
 from genusone.exact_linalg import FgAbelianGroup
 from genusone.oracles import random_cyclic_action
@@ -85,8 +85,9 @@ def _oracle_actions(seed):
 def test_oracles_run_the_bar_complex_once_per_distinct_action(monkeypatch):
     actions = _oracle_actions(0)
     assert len(set(actions)) == 30
-    bar_calls, periodic_calls = [], []
+    bar_calls, periodic_calls, builds = [], [], []
     bar, periodic = checks.bar_cohomology, checks.cyclic_cohomology
+    build = cyclic.periodic_complex
 
     def bar_spy(action, n, *args):
         bar_calls.append((action, n))
@@ -96,14 +97,21 @@ def test_oracles_run_the_bar_complex_once_per_distinct_action(monkeypatch):
         periodic_calls.append(action)
         return periodic(action, n)
 
+    def build_spy(action, top_degree):
+        builds.append(action)
+        return build(action, top_degree)
+
     monkeypatch.setattr(checks, "bar_cohomology", bar_spy)
     monkeypatch.setattr(checks, "cyclic_cohomology", periodic_spy)
+    monkeypatch.setattr(cyclic, "periodic_complex", build_spy)
     results = run_oracles(0)
     assert all(r.passed for r in results)
     assert [a for a, _ in bar_calls] == list(dict.fromkeys(actions))
     assert {n for _, n in bar_calls} == {3}
     # every case is still compared in each of the degrees 0..3
     assert periodic_calls == [a for a in actions for _ in range(4)]
+    # equal draws are read through one instance, which keeps one complex
+    assert builds == list(dict.fromkeys(actions))
 
 
 def test_a_wrong_answer_on_a_repeated_action_names_every_case(monkeypatch):

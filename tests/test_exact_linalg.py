@@ -197,6 +197,8 @@ def test_fp_rank():
     assert fp_rank([[1, 0], [0, 1]], 5) == 2
     with pytest.raises(ValueError):
         fp_rank([[1]], 4)
+    with pytest.raises(ValueError):
+        fp_rank([[1], [1, 1]], 2)
 
 
 def test_primality_and_factoring():

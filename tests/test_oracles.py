@@ -127,6 +127,14 @@ def test_fraction_det_matches_bareiss():
         for _ in range(6):
             a = random_matrix(rng, n, n, bound=rng.choice((1, 6)))
             assert _fraction_det(a.to_lists()) == a.det(), a.to_lists()
+    assert _fraction_det([]) == IntegerMatrix([], cols=0).det() == 1
+    # a permutation matrix's det is the permutation's sign, so a wrong sign
+    # on an odd row move fails here
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            a = IntegerMatrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+            assert _fraction_det(a.to_lists()) == a.det() == (-1) ** inversions, perm
 
 
 # the distinct order-6 rank-3 actions that the oracles suite draws at seed

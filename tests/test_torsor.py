@@ -1,7 +1,9 @@
+import ast
 import random
 
 import pytest
 
+from genusone import torsor
 from genusone.torsor import (FiniteGroupData, _f2_cocycle_columns, _rank_f2,
                              build_canonical_torsor,
                              cycle_lengths, cyclic_group_data, gl2_z4_group,
@@ -227,3 +229,23 @@ def test_finite_group_data_validation():
 def test_cyclic_group_data_rejects_wrong_order():
     with pytest.raises(ValueError):
         cyclic_group_data(4, [[0, -1], [1, 1]], 2)
+
+
+def test_solver_shares_no_engine_elimination():
+    # the solver checks the engine's H^1, so it may use the dense reference
+    # fp_rank but never the engine's own eliminations
+    engine = {"bareiss_rank", "_reduce_on_units", "_cancel_units", "_diagonal_mod",
+              "_divisors_mod_minor", "_factors_mod", "elementary_divisors",
+              "snf_diagonal", "cohomology_at", "det"}
+    with open(torsor.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+    assert "fp_rank" in named
+    assert named & engine == set()
