@@ -14,13 +14,14 @@ The central operations are
   complex reduced on its unit pivots (``CochainComplex.reduced``), a
   homotopy equivalent complex (Gaussian elimination on chain complexes,
   Kaczynski, Mrozek and Slusarek 1998; the argument is at
-  ``_reduce_on_units``), in which each differential keeps one
-  ``DifferentialRecord`` of its rank and elementary divisors;
+  ``_reduce_on_units``), in which each differential has one
+  ``DifferentialRecord``;
 * ``bareiss_rank``: rank and a nonzero maximal minor N by fraction-free
   elimination, whose entries are minors and so stay within Hadamard's bound;
-* ``elementary_divisors``: the divisors above 1 from a diagonal form modulo
-  N, which they all divide, so no coefficient exceeds N (the mod-determinant
-  method of Hafner and McCurley);
+* ``DifferentialRecord``: the one reader of a differential's rank, its
+  elementary divisors above 1 and its cokernel mod m.  The divisors come
+  from a diagonal form modulo N, which they all divide, so no coefficient
+  exceeds N (the mod-determinant method of Hafner and McCurley);
 * ``smith_normal_form``: U * A * V = D with unimodular U, V and a diagonal
   whose entries form a divisibility chain, certified before it returns.
   It is the dense reference the divisor route is tested against.
@@ -544,47 +545,6 @@ def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
     return pivots
 
 
-def elementary_divisors(a: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank r of ``a`` and its elementary divisors above 1, ascending.
-
-    The divisors s_1 | ... | s_r multiply to the gcd of the r x r minors, so
-    each divides the minor N from ``bareiss_rank``.  Hence
-    Z^rows / (im a + N Z^rows) is Z/s_1 + ... + Z/s_r + (Z/N)^(rows - r),
-    which a diagonal form modulo N computes with entries below N.  The top
-    rows - r invariant factors of that group are N and are stripped.
-    """
-    rank, minor = bareiss_rank(a)
-    return rank, _divisors_mod_minor(a, rank, minor)
-
-
-def _factors_mod(a: IntegerMatrix, modulus: int) -> tuple[int, ...]:
-    """Invariant factors of Z^rows / (im a + modulus Z^rows) from a diagonal form mod
-    ``modulus``, canonicalised, not counted: diag(8, 3) is diag(1, 0) modulo 24."""
-    pivots = _diagonal_mod(a, modulus)
-    orders = [math.gcd(x, modulus) for x in pivots] + [modulus] * (a.rows - len(pivots))
-    return FgAbelianGroup(0, orders).invariant_factors
-
-
-def _divisors_mod_minor(a: IntegerMatrix, rank: int, minor: int) -> tuple[int, ...]:
-    """The divisor pass of ``elementary_divisors``, given ``bareiss_rank(a)``."""
-    if minor == 1:
-        return ()
-    factors = _factors_mod(a, minor)
-    top = a.rows - rank
-    divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
-    if stripped != (minor,) * top or minor % math.prod(divisors):
-        raise RuntimeError("elementary divisor certificate failed: "
-                           f"factors {factors} do not fit the minor {minor}")
-    return divisors
-
-
-def snf_diagonal(a: IntegerMatrix) -> list[int]:
-    """Just the diagonal of the Smith normal form."""
-    rank, divisors = elementary_divisors(a)
-    return ([1] * (rank - len(divisors)) + list(divisors)
-            + [0] * (min(a.rows, a.cols) - rank))
-
-
 def fp_rank(rows: Iterable[Iterable[int]], p: int) -> int:
     """Rank over F_p of a matrix given as an iterable of integer rows of one length."""
     if not _is_prime(p):
@@ -812,12 +772,17 @@ class CochainComplex:
 
 
 class DifferentialRecord:
-    """What cohomology reads from one reduced differential, each part once.
+    """What cohomology reads from one differential d, each part once.
 
-    ``shape`` is the shape of the reduced differential.  Its rank and a
-    nonzero maximal minor N come from one ``bareiss_rank`` when first asked
-    for, and its elementary divisors from that N when the map is first read
-    as an incoming map.  ``factors_mod(m)`` reads the cokernel mod m instead.
+    ``shape`` is the shape of d.  Its rank r and a nonzero maximal minor N
+    come from one ``bareiss_rank`` when first asked for.  Its elementary
+    divisors s_1 | ... | s_r multiply to the gcd of the r x r minors, so
+    each divides N.  Hence Z^rows / (im d + N Z^rows) is
+    Z/s_1 + ... + Z/s_r + (Z/N)^(rows - r), which ``factors_mod(N)`` computes
+    from a diagonal form modulo N with entries below N (the mod-determinant
+    method of Hafner and McCurley); ``divisors`` strips the top rows - r
+    invariant factors, which are N, and keeps the rest above 1.
+    ``factors_mod(m)`` reads the cokernel mod any m, once per modulus.
     """
 
     __slots__ = ("shape", "_matrix", "_rank_minor", "_divisors", "_mod_factors")
@@ -827,7 +792,7 @@ class DifferentialRecord:
         self._matrix = matrix
         self._rank_minor = None
         self._divisors = None
-        self._mod_factors = None
+        self._mod_factors = {}
 
     def _bareiss(self) -> tuple[int, int]:
         if self._rank_minor is None:
@@ -841,22 +806,35 @@ class DifferentialRecord:
     @property
     def divisors(self) -> tuple[int, ...]:
         if self._divisors is None:
-            self._divisors = _divisors_mod_minor(self._matrix, *self._bareiss())
+            rank, minor = self._bareiss()
+            divisors = ()
+            if minor != 1:
+                factors = self.factors_mod(minor)
+                top = self.shape[0] - rank
+                divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
+                if stripped != (minor,) * top or minor % math.prod(divisors):
+                    raise RuntimeError("elementary divisor certificate failed: "
+                                       f"factors {factors} do not fit the minor {minor}")
+            self._divisors = divisors
         return self._divisors
 
     def factors_mod(self, modulus: int) -> tuple[int, ...]:
-        """Invariant factors of coker(d) / modulus coker(d) (``_factors_mod``)."""
-        if self._mod_factors is None or self._mod_factors[0] != modulus:
-            self._mod_factors = (modulus, _factors_mod(self._matrix, modulus))
-        return self._mod_factors[1]
+        """Invariant factors of coker(d) / modulus coker(d) from a diagonal form mod
+        ``modulus``, canonicalised, not counted: diag(8, 3) is diag(1, 0) modulo 24."""
+        if modulus not in self._mod_factors:
+            pivots = _diagonal_mod(self._matrix, modulus)
+            orders = ([math.gcd(x, modulus) for x in pivots]
+                      + [modulus] * (self.shape[0] - len(pivots)))
+            self._mod_factors[modulus] = FgAbelianGroup(0, orders).invariant_factors
+        return self._mod_factors[modulus]
 
 
 class ReducedComplex(NamedTuple):
     """A cochain complex after every unit pivot has been cancelled.
 
-    ``records[n]`` holds the reduced d_n, and ``ranks[n]``, the number of
-    surviving basis vectors of C^n, is read off the records' shapes.  Its
-    cohomology is that of the complex it came from.
+    ``ranks[n]`` is the number of surviving basis vectors of C^n and
+    ``records[n]`` holds the reduced d_n between them.  Its cohomology is
+    that of the complex it came from.
     """
 
     ranks: tuple[int, ...]
@@ -893,14 +871,14 @@ def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix,
     Pivots are taken within each d_n, n ascending (``_cancel_units``).
     Cancelling in d_n only deletes entries of d_{n-1} and d_{n+1}, so no
     unit is left anywhere at the end.  The deletions are bookkeeping on the
-    surviving bases: d_{n+1} is read without its cancelled columns, and
-    d_{n-1}, kept as stored rows renumbered after its own pass, drops its
-    rows during the pass over d_n and is recorded after it.  Over F_p every entry is a
-    unit, so every reduced differential is zero.
+    surviving bases ``alive``: each pass reads d_n without the columns
+    cancelled before it and keeps the rows it leaves, and once every pass
+    is done each reduced d_n is those rows on the bases that survived, rows
+    alive[n+1] and columns alive[n].  Over F_p every entry is a unit, so
+    every reduced differential is zero.
     """
     alive = [set(range(r)) for r in ranks]
-    records = []
-    lower = None  # d_{n-1} after its pass, as stored rows {i: row}
+    passes = []
     for n, d in enumerate(differentials):
         live = alive[n]
         rows = {}
@@ -909,22 +887,14 @@ def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix,
             if entries:
                 rows[i] = entries
         for i, j in _cancel_units(rows, base):
-            if lower is not None:
-                del lower[j]
-            alive[n].discard(j)
+            live.discard(j)
             alive[n + 1].discard(i)
         if base is not None and rows:
             raise RuntimeError("unit reduction over F_p left a nonzero differential")
-        if lower is not None:
-            records.append(DifferentialRecord(IntegerMatrix._stored(tuple(lower.values()),
-                                                                    len(alive[n - 1]))))
-        lower = _renumbered(rows, alive[n + 1], alive[n])
-    if lower is None:
-        return ReducedComplex(ranks, ())
-    records.append(DifferentialRecord(IntegerMatrix._stored(tuple(lower.values()),
-                                                            len(alive[-2]))))
-    return ReducedComplex((records[0].shape[1],) + tuple(r.shape[0] for r in records),
-                          tuple(records))
+        passes.append(rows)
+    return ReducedComplex(tuple(map(len, alive)),
+                          tuple(DifferentialRecord(_renumbered(rows, alive[n + 1], alive[n]))
+                                for n, rows in enumerate(passes)))
 
 
 def _cancel_units(rows: dict, base: int | None):
@@ -979,31 +949,30 @@ def _cancel_units(rows: dict, base: int | None):
         yield i, j
 
 
-def _renumbered(rows: dict, row_basis: set, col_basis: set) -> dict:
-    """Rows {i: {j: v}} as stored rows {i: row}, columns numbered in ``col_basis`` order."""
+def _renumbered(rows: dict, row_basis: set, col_basis: set) -> IntegerMatrix:
+    """Rows {i: {j: v}} on the bases given, rows and columns numbered in basis order."""
     position = {j: t for t, j in enumerate(sorted(col_basis))}
-    renumbered = {}
-    for i in sorted(row_basis):
-        pairs = sorted((position[j], v) for j, v in rows.get(i, {}).items())
-        renumbered[i] = tuple(chain.from_iterable(pairs))
-    return renumbered
+    renumbered = (sorted((position[j], v) for j, v in rows.get(i, {}).items())
+                  for i in sorted(row_basis))
+    return IntegerMatrix._stored(tuple(tuple(chain.from_iterable(pairs)) for pairs in renumbered),
+                                 len(col_basis))
 
 
 def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     """ker(d_n)/im(d_{n-1}) as an abelian group in canonical form.
 
     It is read from ``complex_.reduced()``, the complex with every unit
-    pivot cancelled, which has the same cohomology and whose records hold
-    each differential's invariants once computed.  Over F_p nothing is
+    pivot cancelled, which has the same cohomology and keeps one
+    ``DifferentialRecord`` per reduced differential.  Over F_p nothing is
     left of the differentials, so the answer is F_p to the number of
     surviving basis vectors of C^n.
 
     Over Z, ker(d_n) is saturated in C^n: C^n/ker(d_n) embeds in the free
     group C^{n+1}.  So the torsion of ker(d_n)/im(d_{n-1}) is the torsion of
     coker(d_{n-1}), whose invariant factors are the elementary divisors of
-    d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}; each
-    ``DifferentialRecord`` gives them from one Bareiss pass and a diagonal
-    form modulo its minor N, with no unimodular transform carried.
+    d_{n-1}, and the free rank is rank C^n - rank d_n - rank d_{n-1}.  The
+    records of d_n and d_{n-1} give them, each from one Bareiss pass and a
+    diagonal form modulo its minor N, with no unimodular transform carried.
     """
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")

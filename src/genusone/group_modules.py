@@ -110,13 +110,9 @@ class GroupModule:
 
 
 @lru_cache(maxsize=None)
-def _sym_actions(k: int) -> tuple[IntegerMatrix, IntegerMatrix]:
-    return sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k)
-
-
-@lru_cache(maxsize=None)
 def _sym_module(k: int, base: int | None) -> GroupModule:
-    module = GroupModule(*_sym_actions(k), name=f"sym_{k}")
+    module = GroupModule(sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k),
+                         name=f"sym_{k}")
     return module if base is None else module.reduce(base)
 
 

@@ -120,10 +120,10 @@ def test_folded_degrees_match_explicit_complexes(modulus):
 
 def test_bad_inversion_is_rejected_before_computing():
     # every argument is checked before Sym^k is built or a complex looked up
-    from genusone.group_modules import _sym_actions
+    from genusone.group_modules import _sym_module
 
     def calls():
-        sym = _sym_actions.cache_info()
+        sym = _sym_module.cache_info()
         return sym.hits + sym.misses, _module_complex.cache_info().misses
 
     before = calls()
@@ -308,18 +308,18 @@ def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
     from genusone.cli import main
 
     calls, moduli = [], []
-    original, original_factors = exact_linalg.bareiss_rank, exact_linalg._factors_mod
+    original, original_diagonal = exact_linalg.bareiss_rank, exact_linalg._diagonal_mod
 
     def spy(a):
         calls.append(a.shape)
         return original(a)
 
-    def factors_spy(a, modulus):
+    def diagonal_spy(a, modulus):
         moduli.append(modulus)
-        return original_factors(a, modulus)
+        return original_diagonal(a, modulus)
 
     monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
-    monkeypatch.setattr(exact_linalg, "_factors_mod", factors_spy)
+    monkeypatch.setattr(exact_linalg, "_diagonal_mod", diagonal_spy)
     _module_complex.cache_clear()
     try:
         assert main(["table", "sl2z", "--max-k", "19", "--max-p", "5"]) == 0

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from genusone.amalgam import build_total_complex
-from genusone.exact_linalg import (CochainComplex, FgAbelianGroup,
+from genusone.exact_linalg import (CochainComplex, DifferentialRecord, FgAbelianGroup,
                                    IntegerMatrix, _factor, _is_prime, bareiss_rank, cohomology_at,
-                                   direct_sum, elementary_divisors, fp_rank,
+                                   direct_sum, fp_rank,
                                    group_from_json, group_to_json,
                                    inverted_primes, localize, mod_p_dims,
-                                   smith_normal_form, snf_diagonal)
+                                   smith_normal_form)
 from genusone.group_modules import standard_coefficient_module
 from genusone.oracles import random_known_complex
 
@@ -145,8 +145,12 @@ def test_snf_certificate_random():
 
 def test_snf_diagonal_known():
     a = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert snf_diagonal(a) == [2, 2, 156]
-    assert snf_diagonal(IntegerMatrix.zeros(2, 3)) == [0, 0]
+    assert _smith_diagonal(a) == [2, 2, 156]
+    record = DifferentialRecord(a)
+    assert (record.rank, record.divisors) == (3, (2, 2, 156))
+    zero = IntegerMatrix.zeros(2, 3)
+    assert _smith_diagonal(zero) == [0, 0]
+    assert (DifferentialRecord(zero).rank, DifferentialRecord(zero).divisors) == (0, ())
 
 
 def _smith_diagonal(a):
@@ -174,10 +178,10 @@ def test_elementary_divisors_match_smith_form():
         cases.append(random_matrix(rng, rows, cols))
     for a in cases:
         want = _smith_diagonal(a)
-        rank, divisors = elementary_divisors(a)
+        record = DifferentialRecord(a)
+        rank, divisors = record.rank, record.divisors
         assert rank == sum(1 for d in want if d), a
         assert list(divisors) == [d for d in want if d > 1], a
-        assert snf_diagonal(a) == want, a
         r, minor = bareiss_rank(a)
         assert r == rank and minor > 0 and minor % math.prod(divisors) == 0, a
 
@@ -186,8 +190,9 @@ def test_elementary_divisors_of_a_unimodular_matrix():
     # the maximal minor is a unit, so the modular pass is skipped
     a = IntegerMatrix([[2, 1, 0], [1, 1, 0], [0, 0, -1]])
     assert bareiss_rank(a) == (3, 1)
-    assert elementary_divisors(a) == (3, ())
-    assert snf_diagonal(a) == [1, 1, 1]
+    record = DifferentialRecord(a)
+    assert (record.rank, record.divisors) == (3, ())
+    assert _smith_diagonal(a) == [1, 1, 1]
 
 
 def test_fp_rank():
@@ -444,8 +449,8 @@ def reference_cohomology(cpx, n):
         p = cpx.base
         return FgAbelianGroup(0, [p] * (rank_here - fp_rank(outgoing, p)
                                         - fp_rank(incoming, p)))
-    rank_in, torsion = elementary_divisors(incoming)
-    return FgAbelianGroup(rank_here - bareiss_rank(outgoing)[0] - rank_in, torsion)
+    record = DifferentialRecord(incoming)
+    return FgAbelianGroup(rank_here - bareiss_rank(outgoing)[0] - record.rank, record.divisors)
 
 
 def test_complex_without_units_passes_through_unreduced():
@@ -534,6 +539,10 @@ def test_reduction_matches_unreduced_sym_k_complexes(base):
     for k in range(13):
         module = standard_coefficient_module("sym_k", k, base=base)
         cpx = build_total_complex(module, 6).complex
+        ranks, records = cpx.reduced()
+        assert len(ranks) == len(records) + 1
+        for n, record in enumerate(records):
+            assert ranks[n] == record.shape[1] and ranks[n + 1] == record.shape[0], (k, n)
         for n in range(6):
             assert cohomology_at(cpx, n) == reference_cohomology(cpx, n), (k, n)
 

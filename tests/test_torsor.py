@@ -234,9 +234,9 @@ def test_cyclic_group_data_rejects_wrong_order():
 def test_solver_shares_no_engine_elimination():
     # the solver checks the engine's H^1, so it may use the dense reference
     # fp_rank but never the engine's own eliminations
-    engine = {"bareiss_rank", "_reduce_on_units", "_cancel_units", "_diagonal_mod",
-              "_divisors_mod_minor", "_factors_mod", "elementary_divisors",
-              "snf_diagonal", "cohomology_at", "det"}
+    engine = {"bareiss_rank", "_bareiss", "_reduce_on_units", "reduced", "_cancel_units",
+              "DifferentialRecord", "_diagonal_mod", "_divisors_mod_minor", "_factors_mod",
+              "elementary_divisors", "snf_diagonal", "cohomology_at", "det"}
     with open(torsor.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     named = set()
