@@ -1,20 +1,23 @@
 """Command-line surface: single groups, table emission, verify suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
-path that cannot be written included).  Output is deterministic for fixed
-flags and seed; everything goes to stdout unless --out is given.
+Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable
+output (--out or a closed stdout).  Output (stdout unless --out) is fixed by
+the flags and seed, save ``seconds`` in ``verify --format json``.
 """
 
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
+from dataclasses import asdict
 import json
 import math
+import os
 import sys
 
 from .amalgam import sl2z_cohomology
 from .checks import run_suites, SUITES
-from .exact_linalg import FgAbelianGroup, group_to_json, inverted_primes
+from .exact_linalg import group_to_json, inverted_primes
 from .moduli import (DegenerationUnproven, complement_group,
                      half_inverted_group, m11_group)
 from .torsor import (build_canonical_torsor, cyclic_group_data,
@@ -34,48 +37,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     one = sub.add_parser("sl2z", help="one cohomology group of the modular group")
+    one.set_defaults(handler=_cmd_sl2z)
     one.add_argument("--k", type=int, required=True, help="symmetric power")
     one.add_argument("--p", type=int, required=True, help="cohomological degree")
     ring = one.add_mutually_exclusive_group()
     ring.add_argument("--mod", type=int, metavar="PRIME",
                       help="coefficients in the prime field F_PRIME")
     ring.add_argument("--invert", type=int, action="append", metavar="N",
-                      default=None,
                       help="invert the primes dividing N (repeatable)")
-    one.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    one.add_argument("--out", metavar="PATH")
 
     table = sub.add_parser("table", help="emit a whole table")
+    table.set_defaults(handler=_cmd_table)
     table.add_argument("which", choices=("sl2z", "moduli", "moduli-half"))
     table.add_argument("--max-k", type=int, default=4)
     table.add_argument("--max-p", type=int, default=7)
     table.add_argument("--max-n", type=int, default=None)
-    table.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    table.add_argument("--out", metavar="PATH")
 
     verify = sub.add_parser("verify", help="run a verification suite")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("suite", choices=("all",) + tuple(SUITES))
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--out", metavar="PATH")
 
     torsor = sub.add_parser("torsor", help="torsor constructions")
+    torsor.set_defaults(handler=_cmd_torsor)
     torsor.add_argument("action", choices=("demo",))
-    torsor.add_argument("--out", metavar="PATH")
 
     cocycles = sub.add_parser("cocycles", help="brute-force H^1 demonstrations")
-    cocycles.add_argument("--out", metavar="PATH")
+    cocycles.set_defaults(handler=_cmd_cocycles)
+
+    # the shared flags last, so that each --help lists a command's own first
+    for command in (one, table, verify):
+        formats = ("text", "json") if command is verify else ("md", "csv", "json")
+        command.add_argument("--format", choices=formats, default=formats[0])
+    for command in sub.choices.values():
+        command.add_argument("--out", metavar="PATH")
     return parser
 
 
-def _render(group: FgAbelianGroup, inverted: tuple[int, ...]) -> str:
-    """Render ``group``; ``inverted`` holds distinct primes."""
-    if inverted:
-        return group.render(free_symbol=f"Z[1/{math.prod(inverted)}]")
-    return group.render()
+def _output(fmt: str, payload: dict, text: str = "", csv=(), md=()) -> str:
+    """A command's data in ``fmt``: ``payload`` as JSON, each group through
+    ``group_to_json``; ``csv`` rows comma-joined; ``md`` rows as a table with a
+    ``|---|`` rule under the header; else ``text``."""
+    if fmt == "json":
+        return json.dumps(payload, sort_keys=True, indent=2, default=group_to_json)
+    if fmt == "csv":
+        return "\n".join(",".join(map(str, row)) for row in csv)
+    if not md:
+        return text
+    lines = ["| " + " | ".join(map(str, row)) + " |" for row in md]
+    lines.insert(1, "|" + "---|" * len(md[0]))
+    return "\n".join(lines)
 
 
-def _cmd_sl2z(args) -> str:
+def _cmd_sl2z(args):
     if args.k < 0 or args.p < 0:
         raise UsageError("--k and --p must be nonnegative")
     try:
@@ -83,111 +97,73 @@ def _cmd_sl2z(args) -> str:
         group = sl2z_cohomology(args.k, args.p, modulus=args.mod, invert=invert)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.format == "json":
-        payload = {"k": args.k, "p": args.p, "group": group_to_json(group)}
-        if args.mod:
-            payload["mod"] = args.mod
-        if invert:
-            payload["inverted"] = list(invert)
-        return json.dumps(payload, sort_keys=True, indent=2)
-    if args.format == "csv":
-        return f"k,p,group\n{args.k},{args.p},{_render(group, invert)}"
-    return _render(group, invert)
+    payload = {"k": args.k, "p": args.p, "group": group}
+    if args.mod:
+        payload["mod"] = args.mod
+    if invert:
+        payload["inverted"] = list(invert)
+    text = group.render(f"Z[1/{math.prod(invert)}]" if invert else "Z")
+    return _output(args.format, payload, text,
+                   csv=[("k", "p", "group"), (args.k, args.p, text)]), 0
 
 
-def _table_sl2z(args):
+def _table_sl2z(args) -> str:
     if args.max_k < 0 or args.max_p < 0:
         raise UsageError("--max-k and --max-p must be nonnegative")
-    cells = {(k, p): sl2z_cohomology(k, p)
-             for k in range(args.max_k + 1) for p in range(args.max_p + 1)}
-    if args.format == "json":
-        return json.dumps({
-            "table": "sl2z",
-            "max_k": args.max_k,
-            "max_p": args.max_p,
-            "entries": [{"k": k, "p": p, "group": group_to_json(g)}
-                        for (k, p), g in sorted(cells.items())],
-        }, sort_keys=True, indent=2)
-    if args.format == "csv":
-        lines = ["k,p,group"]
-        lines += [f"{k},{p},{g}" for (k, p), g in sorted(cells.items())]
-        return "\n".join(lines)
-    head = "| k \\ p | " + " | ".join(str(p) for p in range(args.max_p + 1)) + " |"
-    rule = "|" + "---|" * (args.max_p + 2)
-    lines = [head, rule]
-    for k in range(args.max_k + 1):
-        row = [f"Sym^{k}"] + [str(cells[(k, p)]) for p in range(args.max_p + 1)]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+    ks, ps = range(args.max_k + 1), range(args.max_p + 1)
+    cells = {(k, p): sl2z_cohomology(k, p) for k in ks for p in ps}
+    payload = {"table": "sl2z", "max_k": args.max_k, "max_p": args.max_p,
+               "entries": [{"k": k, "p": p, "group": g}
+                           for (k, p), g in cells.items()]}
+    return _output(
+        args.format, payload,
+        csv=[("k", "p", "group")] + [(k, p, g) for (k, p), g in cells.items()],
+        md=[("k \\ p", *ps)] + [(f"Sym^{k}", *(cells[k, p] for p in ps)) for k in ks])
 
 
-def _table_moduli(args, half: bool):
+def _table_moduli(args) -> str:
+    half = args.which == "moduli-half"
     max_n = args.max_n if args.max_n is not None else (9 if half else 5)
     if max_n < 0:
         raise UsageError("--max-n must be nonnegative")
     degrees = range(max_n + 1)
     if half:
-        rows = [("Z[1/2] cohomology", [half_inverted_group(n) for n in degrees])]
+        rows = {"Z[1/2] cohomology": [half_inverted_group(n) for n in degrees]}
     else:
-        rows = [("pointed space", [m11_group(n) for n in degrees]),
-                ("complement", [complement_group(n) for n in degrees])]
-    if args.format == "json":
-        payload = {
-            "table": "moduli-half" if half else "moduli",
-            "max_n": max_n,
-            "rows": [{"name": name,
-                      "groups": [group_to_json(g) for g in groups]}
-                     for name, groups in rows],
-        }
-        if half:
-            payload["inverted"] = [2]
-        return json.dumps(payload, sort_keys=True, indent=2)
-    inverted = (2,) if half else ()
-    if args.format == "csv":
-        lines = ["n," + ",".join(name for name, _ in rows)]
-        for n in degrees:
-            lines.append(f"{n}," + ",".join(
-                _render(groups[n], inverted) for _, groups in rows))
-        return "\n".join(lines)
-    head = "| n | " + " | ".join(str(n) for n in degrees) + " |"
-    rule = "|" + "---|" * (max_n + 2)
-    lines = [head, rule]
-    for name, groups in rows:
-        lines.append("| " + name + " | "
-                     + " | ".join(_render(g, inverted) for g in groups) + " |")
-    return "\n".join(lines)
+        rows = {"pointed space": [m11_group(n) for n in degrees],
+                "complement": [complement_group(n) for n in degrees]}
+    payload = {"table": args.which, "max_n": max_n, "rows": [
+        {"name": name, "groups": groups} for name, groups in rows.items()]}
+    if half:
+        payload["inverted"] = [2]
+    cells = [[g.render("Z[1/2]" if half else "Z") for g in groups]
+             for groups in rows.values()]
+    return _output(
+        args.format, payload,
+        csv=[("n", *rows)] + [(n, *col) for n, col in zip(degrees, zip(*cells))],
+        md=[("n", *degrees)] + [(name, *row) for name, row in zip(rows, cells)])
 
 
-def _cmd_table(args) -> str:
-    if args.which == "sl2z":
-        return _table_sl2z(args)
-    return _table_moduli(args, half=args.which == "moduli-half")
+def _cmd_table(args):
+    return (_table_sl2z if args.which == "sl2z" else _table_moduli)(args), 0
 
 
 def _cmd_verify(args):
     runs = run_suites(args.suite, args.seed)
     results = [r for run in runs for r in run.results]
     passed = sum(r.passed for r in results)
-    status = 0 if passed == len(results) else 1
-    if args.format == "json":
-        return json.dumps({
-            "suite": args.suite,
-            "seed": args.seed,
-            "passed": passed,
-            "total": len(results),
-            "suites": [{"name": run.name,
-                        "seconds": round(run.seconds, 6),
-                        "checks": [{"name": r.name, "passed": r.passed,
-                                    "detail": r.detail} for r in run.results]}
-                       for run in runs],
-        }, sort_keys=True, indent=2), status
-    lines = [f"suite: {args.suite}", f"seed: {args.seed}"]
-    lines += [r.line() for r in results]
-    lines.append(f"{passed}/{len(results)} checks passed")
-    return "\n".join(lines), status
+    payload = {"suite": args.suite, "seed": args.seed, "passed": passed,
+               "total": len(results),
+               "suites": [{"name": run.name, "seconds": round(run.seconds, 6),
+                           "checks": [asdict(r) for r in run.results]}
+                          for run in runs]}
+    lines = [f"suite: {args.suite}", f"seed: {args.seed}",
+             *(r.line() for r in results), f"{passed}/{len(results)} checks passed"]
+    return (_output(args.format, payload, "\n".join(lines)),
+            0 if passed == len(results) else 1)
 
 
-def _cmd_torsor(args) -> str:
+def _cmd_torsor(args):
     config = build_canonical_torsor()
     fmt = lambda c: f"({c[0]},{c[1]})"
     lines = ["module: (Z/4)^2 with 16 elements",
@@ -217,10 +193,10 @@ def _cmd_torsor(args) -> str:
                  f"{witness.fixed_point_free}")
     lines.append("no fixed element means no section, so the class is the "
                  "nonzero element of an order-2 H^1")
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
-def _cmd_cocycles(args) -> str:
+def _cmd_cocycles(args):
     group = gl2_z4_group()
     lines = [f"group of order {group.order} acting on (Z/2)^2 by reduction mod 2",
              f"unknowns {group.order * group.dim}, equations "
@@ -235,37 +211,27 @@ def _cmd_cocycles(args) -> str:
     ]
     for name, data in samples:
         lines.append(f"H^1 of {name}: {h1_one_cocycles(data)}")
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    status = 0
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            text, status = _cmd_verify(args)
-        elif args.command == "sl2z":
-            text = _cmd_sl2z(args)
-        elif args.command == "table":
-            text = _cmd_table(args)
-        elif args.command == "torsor":
-            text = _cmd_torsor(args)
-        else:
-            text = _cmd_cocycles(args)
+        text, status = args.handler(args)
     except (UsageError, DegenerationUnproven) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        print(text)
+    try:
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else nullcontext(sys.stdout)) as handle:
+            print(text, file=handle, flush=True)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if not args.out:  # else the flush at exit retries what stdout holds
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     return status
 
 

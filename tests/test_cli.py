@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genusone
 from genusone.checks import CheckResult
 from genusone.cli import main
 from genusone.exact_linalg import FgAbelianGroup, group_from_json
@@ -195,3 +201,88 @@ def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
     assert err.startswith(f"error: cannot write {target}: ")
     assert len(err.splitlines()) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("invert, group", [((), "Z + Z/12"),
+                                           (("--invert", "2"), "Z[1/2] + Z/3")],
+                         ids=["integral", "invert-2"])
+def test_sl2z_csv_text(capsys, invert, group):
+    code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1", *invert,
+                       "--format", "csv")
+    assert code == 0 and out == f"k,p,group\n4,1,{group}\n"
+
+
+def test_table_sl2z_csv_text(capsys):
+    code, out, _ = run(capsys, "table", "sl2z", "--max-k", "1", "--max-p", "2",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "k,p,group\n0,0,Z\n0,1,0\n0,2,Z/12\n1,0,0\n1,1,0\n1,2,Z/2\n"
+
+
+def test_table_json_payloads(capsys):
+    code, out, _ = run(capsys, "table", "sl2z", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert set(payload) == {"table", "max_k", "max_p", "entries"}
+    assert (payload["table"], payload["max_k"], payload["max_p"]) == ("sl2z", 4, 7)
+    assert [(e["k"], e["p"]) for e in payload["entries"]] == [
+        (k, p) for k in range(5) for p in range(8)]
+    assert all(isinstance(group_from_json(e["group"]), FgAbelianGroup)
+               for e in payload["entries"])
+    for which, names, max_n in (
+            ("moduli", ["pointed space", "complement"], 5),
+            ("moduli-half", ["Z[1/2] cohomology"], 9)):
+        code, out, _ = run(capsys, "table", which, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        half = which == "moduli-half"
+        assert set(payload) == {"table", "max_n", "rows"} | ({"inverted"} if half else set())
+        assert (payload["table"], payload["max_n"]) == (which, max_n)
+        assert payload.get("inverted") == ([2] if half else None)
+        assert [row["name"] for row in payload["rows"]] == names
+        for row in payload["rows"]:
+            assert len(row["groups"]) == max_n + 1
+            assert all(isinstance(group_from_json(g), FgAbelianGroup)
+                       for g in row["groups"])
+
+
+#: every option each subcommand takes, and the top-level command names
+COMMAND_OPTIONS = {
+    "sl2z": ["--k", "--p", "--mod", "--invert", "--format", "--out"],
+    "table": ["sl2z", "moduli", "moduli-half", "--max-k", "--max-p", "--max-n",
+              "--format", "--out"],
+    "verify": ["all", "tables", "mod2", "torsor", "splitting", "periodicity",
+               "ptorsion", "square", "oracles", "--seed", "--format", "--out"],
+    "torsor": ["demo", "--out"],
+    "cocycles": ["--out"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_names_every_option(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    names = list(COMMAND_OPTIONS) if command is None else COMMAND_OPTIONS[command]
+    assert set(names) <= set(re.findall(r"[\w-]+", out)), out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_one_error_line(unbuffered):
+    src = str(Path(genusone.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the child imports for about 0.1 s before it writes, so the read end is
+    # closed by the time it does; a buffered stdout must not fail again at exit
+    child = subprocess.Popen(
+        [sys.executable, "-B", "-m", "genusone", "sl2z", "--k", "0", "--p", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
