@@ -74,18 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output(fmt: str, payload: dict, text: str = "", csv=(), md=()) -> str:
-    """A command's data in ``fmt``: ``payload`` as JSON, each group through
-    ``group_to_json``; ``csv`` rows comma-joined; ``md`` rows as a table with a
-    ``|---|`` rule under the header; else ``text``."""
+def _output(fmt: str, payload, text=None, csv=None, md=None) -> str:
+    """A command's data in ``fmt``, each form a function of no arguments so
+    that only the chosen one is built: ``payload()`` as JSON, each group
+    through ``group_to_json``; ``csv()`` rows comma-joined; ``md()`` rows as a
+    table with a ``|---|`` rule under the header; else ``text()``."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, default=group_to_json)
+        return json.dumps(payload(), sort_keys=True, indent=2, default=group_to_json)
     if fmt == "csv":
-        return "\n".join(",".join(map(str, row)) for row in csv)
-    if not md:
-        return text
-    lines = ["| " + " | ".join(map(str, row)) + " |" for row in md]
-    lines.insert(1, "|" + "---|" * len(md[0]))
+        return "\n".join(",".join(map(str, row)) for row in csv())
+    if md is None:
+        return text()
+    rows = md()
+    lines = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    lines.insert(1, "|" + "---|" * len(rows[0]))
     return "\n".join(lines)
 
 
@@ -97,14 +99,18 @@ def _cmd_sl2z(args):
         group = sl2z_cohomology(args.k, args.p, modulus=args.mod, invert=invert)
     except ValueError as exc:
         raise UsageError(str(exc))
-    payload = {"k": args.k, "p": args.p, "group": group}
-    if args.mod:
-        payload["mod"] = args.mod
-    if invert:
-        payload["inverted"] = list(invert)
-    text = group.render(f"Z[1/{math.prod(invert)}]" if invert else "Z")
+
+    def payload():
+        out = {"k": args.k, "p": args.p, "group": group}
+        if args.mod:
+            out["mod"] = args.mod
+        if invert:
+            out["inverted"] = list(invert)
+        return out
+
+    text = lambda: group.render(f"Z[1/{math.prod(invert)}]" if invert else "Z")
     return _output(args.format, payload, text,
-                   csv=[("k", "p", "group"), (args.k, args.p, text)]), 0
+                   csv=lambda: [("k", "p", "group"), (args.k, args.p, text())]), 0
 
 
 def _table_sl2z(args) -> str:
@@ -112,13 +118,14 @@ def _table_sl2z(args) -> str:
         raise UsageError("--max-k and --max-p must be nonnegative")
     ks, ps = range(args.max_k + 1), range(args.max_p + 1)
     cells = {(k, p): sl2z_cohomology(k, p) for k in ks for p in ps}
-    payload = {"table": "sl2z", "max_k": args.max_k, "max_p": args.max_p,
-               "entries": [{"k": k, "p": p, "group": g}
-                           for (k, p), g in cells.items()]}
     return _output(
-        args.format, payload,
-        csv=[("k", "p", "group")] + [(k, p, g) for (k, p), g in cells.items()],
-        md=[("k \\ p", *ps)] + [(f"Sym^{k}", *(cells[k, p] for p in ps)) for k in ks])
+        args.format,
+        lambda: {"table": "sl2z", "max_k": args.max_k, "max_p": args.max_p,
+                 "entries": [{"k": k, "p": p, "group": g}
+                             for (k, p), g in cells.items()]},
+        csv=lambda: [("k", "p", "group")] + [(k, p, g) for (k, p), g in cells.items()],
+        md=lambda: [("k \\ p", *ps)] + [(f"Sym^{k}", *(cells[k, p] for p in ps))
+                                       for k in ks])
 
 
 def _table_moduli(args) -> str:
@@ -132,16 +139,20 @@ def _table_moduli(args) -> str:
     else:
         rows = {"pointed space": [m11_group(n) for n in degrees],
                 "complement": [complement_group(n) for n in degrees]}
-    payload = {"table": args.which, "max_n": max_n, "rows": [
-        {"name": name, "groups": groups} for name, groups in rows.items()]}
-    if half:
-        payload["inverted"] = [2]
-    cells = [[g.render("Z[1/2]" if half else "Z") for g in groups]
-             for groups in rows.values()]
+
+    def payload():
+        out = {"table": args.which, "max_n": max_n, "rows": [
+            {"name": name, "groups": groups} for name, groups in rows.items()]}
+        if half:
+            out["inverted"] = [2]
+        return out
+
+    cells = lambda: [[g.render("Z[1/2]" if half else "Z") for g in groups]
+                     for groups in rows.values()]
     return _output(
         args.format, payload,
-        csv=[("n", *rows)] + [(n, *col) for n, col in zip(degrees, zip(*cells))],
-        md=[("n", *degrees)] + [(name, *row) for name, row in zip(rows, cells)])
+        csv=lambda: [("n", *rows)] + [(n, *col) for n, col in zip(degrees, zip(*cells()))],
+        md=lambda: [("n", *degrees)] + [(name, *row) for name, row in zip(rows, cells())])
 
 
 def _cmd_table(args):
@@ -152,15 +163,15 @@ def _cmd_verify(args):
     runs = run_suites(args.suite, args.seed)
     results = [r for run in runs for r in run.results]
     passed = sum(r.passed for r in results)
-    payload = {"suite": args.suite, "seed": args.seed, "passed": passed,
-               "total": len(results),
-               "suites": [{"name": run.name, "seconds": round(run.seconds, 6),
-                           "checks": [asdict(r) for r in run.results]}
-                          for run in runs]}
-    lines = [f"suite: {args.suite}", f"seed: {args.seed}",
-             *(r.line() for r in results), f"{passed}/{len(results)} checks passed"]
-    return (_output(args.format, payload, "\n".join(lines)),
-            0 if passed == len(results) else 1)
+    payload = lambda: {
+        "suite": args.suite, "seed": args.seed, "passed": passed,
+        "total": len(results),
+        "suites": [{"name": run.name, "seconds": round(run.seconds, 6),
+                    "checks": [asdict(r) for r in run.results]} for run in runs]}
+    text = lambda: "\n".join([f"suite: {args.suite}", f"seed: {args.seed}",
+                              *(r.line() for r in results),
+                              f"{passed}/{len(results)} checks passed"])
+    return _output(args.format, payload, text), 0 if passed == len(results) else 1
 
 
 def _cmd_torsor(args):

@@ -14,13 +14,14 @@ The bar complex is built on normalized cochains, as sparse rows
 ``_sparse_rows_diagonal``, diagonalizes each of its differentials once;
 the rational rank, the F_p rank and the elementary divisors are all read
 from that diagonal, with no dense matrix in between.  Each differential
-is built already transposed, without the coordinates that the previous
-one's unit pivots cover: those pivots form a unimodular block, so the
-dropped columns add nothing to the image of a differential that follows
-it in a complex (the argument cancels a unit pivot as Kaczynski, Mrozek
-and Slusarek do, 1998; it is spelled out at ``bar_cohomology``).  The
-tuple pattern of each differential is worked out once per group order
-and degree, and each action only scatters its matrices into it.
+d_n is built already transposed, and only on the (n+1)-tuples ending in
+the generator g: a cocycle is recovered integrally from its values there,
+so the divisors and the F_p rank stay those of d_n.  The coordinates that
+the previous unit pivots cover are left out too: those pivots form a
+unimodular block, so the dropped columns add nothing to the image (a unit
+pivot cancelled as by Kaczynski, Mrozek and Slusarek, 1998).  Both are
+proved at ``bar_cohomology``.  The tuple pattern is worked out once per
+group order and degree; an action only scatters its matrices into it.
 """
 
 from __future__ import annotations
@@ -223,12 +224,14 @@ def determinantal_invariant_factors(m: IntegerMatrix) -> list:
 @lru_cache(maxsize=None)
 def _bar_pattern(order: int, n: int) -> tuple:
     """The action-free part of d_n (``_bar_transposed``), per (n+1)-tuple
-    in index order: t_0, the block of (t_1..t_n), the identity sign summed
-    onto that block, and the other identity blocks with nonzero sums."""
+    ending in 1, in index order: t_0, the block of (t_1..t_n), the identity
+    sign summed onto that block, and the other identity blocks with nonzero
+    sums."""
     index = {tup: i for i, tup in enumerate(itertools.product(range(1, order), repeat=n))}
     pattern = []
-    for tup in itertools.product(range(1, order), repeat=n + 1):
-        signs = {index[tup[:-1]]: (-1) ** (n + 1)}
+    for head in index:
+        tup = head + (1,)
+        signs = {index[head]: (-1) ** (n + 1)}
         for i in range(n):
             product = (tup[i] + tup[i + 1]) % order
             if product:
@@ -241,22 +244,24 @@ def _bar_pattern(order: int, n: int) -> tuple:
 
 def _bar_transposed(order: int, powers: list, n: int, base=None, drop=()) -> dict:
     """Sparse rows {j: {i: v}} of the transpose of d: C^n -> C^(n+1) on the
-    normalized bar cochains, without the rows j in ``drop``, each row's
-    columns ascending, entries symmetric residues mod ``base`` if given.
+    normalized bar cochains, restricted to the rows i of d whose tuple ends
+    in 1 and without the rows j in ``drop``, each row's columns ascending,
+    entries symmetric residues mod ``base`` if given.
 
     Normalized n-cochains vanish on tuples with an identity entry, so C^n
     holds the maps (G - 1)^n -> M, tuple index major (base m - 1) and
-    coordinate minor.  Row block (t_0..t_n) of d holds g^(t_0) on block
-    (t_1..t_n), and signed identities on (t_0..t_(n-1)) and on each merged
-    tuple whose product is not the identity.
+    coordinate minor; i keeps that global numbering.  Row block (t_0..t_n)
+    of d holds g^(t_0) on block (t_1..t_n), and signed identities on
+    (t_0..t_(n-1)) and on each merged tuple whose product is not the
+    identity.
     """
     r = powers[0].rows
     half = base // 2 if base is not None else None  # so that -1 stays a unit pivot
     sign = {s: s if base is None else (s + half) % base - half for s in range(-n - 1, n + 2)}
     out = [None if j in drop else {} for j in range((order - 1) ** n * r)]
     g_rows = {}  # (t, shift): per row c of g^t + shift, its nonzero (column, value) pairs
-    i = 0
-    for t0, first, shift, terms in _bar_pattern(order, n):
+    for k, (t0, first, shift, terms) in enumerate(_bar_pattern(order, n)):
+        i = k * (order - 1) * r  # the global index of row 0 of tuple (.., 1)
         rows = g_rows.get((t0, shift))
         if rows is None:
             rows = g_rows[t0, shift] = []
@@ -296,27 +301,30 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     rank of d_i is the number of divisors prime to p, since a Smith form
     over Z reduces to one over F_p.
 
-    Each d_i is built transposed by ``_bar_transposed``, and without the
-    columns that the unit pivots of d_(i-1) took (rows of the transpose),
-    and diagonalized so; its own unit pivots are kept for d_(i+1).  That leaves its divisors over Z,
-    and its F_p rank, unchanged:
+    Each d_i is built transposed by ``_bar_transposed`` as P d_i, P the
+    projection onto the (i+1)-tuples ending in 1, without the columns that
+    the unit pivots of P d_(i-1) took; its own unit pivots are kept for
+    d_(i+1).  Its divisors over Z, and its F_p rank, stay those of d_i:
 
-    - Let I be the pivot indices in C^i and J those in C^(i-1) of the
-      unit phase on d_(i-1).  That phase only adds multiples of earlier
-      pivot lines to later lines, and it leaves the block on I x J
-      triangular with +-1 on its diagonal.  So d_(i-1)[I, J] is
-      unimodular over Z, and invertible mod p.
-    - So every x in C^i splits as d_(i-1)(y) + x' with y on J and x' zero
-      on I; y_J solves d_(i-1)[I, J] y_J = x_I.
-    - As d_i d_(i-1) = 0, d_i(x) = d_i(x'): d_i and its restriction to
-      the columns outside I have the same image lattice, hence the same
-      nonzero Smith diagonal over Z (and, mod p, the same F_p rank).
-    - A matrix and its transpose have the same Smith diagonal.
+    - Lemma: P is injective on the cocycles Z^(i+1), with an integral left
+      inverse.  For a cocycle y and an i-tuple s, entry (s, t, 1) of
+      dy = 0 reads y(s, t+1) = y(s, t) + (a signed sum of y on tuples
+      ending in 1), so y follows from P y by induction on t, over Z and
+      mod p.  So P maps Z^(i+1) isomorphically onto a saturated lattice
+      (k v = P y gives y / k = L v, L the left inverse); as im d_i lies in
+      the saturated Z^(i+1), P d_i has the Smith diagonal of d_i (mod p,
+      its rank).
+    - Drop: let I (in C^i, among P's rows) and J (in C^(i-1)) be the
+      pivot indices of the unit phase on P d_(i-1).  That phase only adds
+      multiples of earlier pivot lines to later ones, so the block on
+      I x J is triangular with +-1 on its diagonal: d_(i-1)[I, J] is
+      unimodular (invertible mod p).  Every x in C^i is d_(i-1)(y) + x'
+      with x' zero on I, and d_i(x) = d_i(x'): the columns outside I give
+      the same image.  A transpose has the same Smith diagonal.
 
-    The argument needs d o d = 0, which
-    ``test_bar_differential_squares_to_zero`` checks over Z and mod 2, 3
-    and 5.  A negative free rank, which only a failure of it can produce,
-    raises RuntimeError.
+    Both need d o d = 0, which ``test_bar_differential_squares_to_zero``
+    checks over Z and mod 2, 3 and 5.  A negative free rank, which only a
+    failure of it can produce, raises RuntimeError.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

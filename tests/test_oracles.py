@@ -207,11 +207,18 @@ def _bar_differential(order, powers, n, base=None):
     return rows
 
 
+def _ends_in_one(i, order, r):
+    # row i of d_n is coordinate i % r of tuple i // r, whose last entry is
+    # its least significant digit (base m - 1, digit t - 1)
+    return (i // r) % (order - 1) == 0
+
+
 @pytest.mark.parametrize("base", [None, 2, 3, 5])
 def test_transposed_bar_builder_is_the_transpose_of_the_row_builder(base):
     # with nothing dropped, the builder gives the transpose of the row-wise
-    # reference, each row listing its columns in ascending order (the order
-    # the elimination reads, so its pivots follow from it)
+    # reference restricted to the tuples ending in 1, rows keeping their
+    # global numbering, each row listing its columns in ascending order
+    # (the order the elimination reads, so its pivots follow from it)
     rng = random.Random(26)
     for order in (2, 3, 4, 6):
         for _ in range(2):
@@ -220,6 +227,8 @@ def test_transposed_bar_builder_is_the_transpose_of_the_row_builder(base):
             for n in range(4):
                 want = {}
                 for i, row in _bar_differential(order, powers, n, base).items():
+                    if not _ends_in_one(i, order, act.rank):
+                        continue
                     for j, v in row.items():
                         want.setdefault(j, {})[i] = v
                 got = _bar_transposed(order, powers, n, base)
@@ -229,10 +238,10 @@ def test_transposed_bar_builder_is_the_transpose_of_the_row_builder(base):
 
 @pytest.mark.parametrize("base", [None, 2, 3, 5])
 def test_bar_differential_squares_to_zero(base):
-    # d_{n+1} d_n = 0 on the transposed sparse rows, over Z or modulo base:
-    # row j of d_n^T lists (i, v) with d_n[i][j] = v, for j among the
-    # (m - 1)^n r coordinates of C^n and i among the (m - 1)^(n + 1) r of
-    # C^(n+1), and d_{n+1} d_n [k][j] is the sum of d_n^T[j][i] d_{n+1}^T[i][k]
+    # d_{n+1} d_n = 0 on the full row-wise reference, over Z or modulo base:
+    # row i of d_n lists (j, v) with d_n[i][j] = v, for i among the
+    # (m - 1)^(n + 1) r coordinates of C^(n+1) and j among the (m - 1)^n r
+    # of C^n, and d_{n+1} d_n [k][j] is the sum of d_{n+1}[k][i] d_n[i][j]
     rng = random.Random(20)
     terms = 0
     for order in (2, 3, 4, 6):
@@ -242,29 +251,111 @@ def test_bar_differential_squares_to_zero(base):
             if base is not None:
                 powers = [p.mod(base) for p in powers]
             for n in range(3):
-                inner = _bar_transposed(order, powers, n, base)
-                outer = _bar_transposed(order, powers, n + 1, base)
+                inner = _bar_differential(order, powers, n, base)
+                outer = _bar_differential(order, powers, n + 1, base)
                 width = (order - 1) ** n * act.rank
-                assert all(0 <= j < width and
-                           all(0 <= i < width * (order - 1) for i in row)
-                           for j, row in inner.items())
-                for j, row in inner.items():
+                assert all(0 <= i < width * (order - 1) and
+                           all(0 <= j < width for j in row)
+                           for i, row in inner.items())
+                for k, row in outer.items():
                     product = {}
                     for i, v in row.items():
-                        for k, w in outer.get(i, {}).items():
-                            product[k] = product.get(k, 0) + v * w
+                        for j, w in inner.get(i, {}).items():
+                            product[j] = product.get(j, 0) + v * w
                             terms += 1
                     assert all(x % base == 0 if base else x == 0
-                               for x in product.values()), (order, n, j)
+                               for x in product.values()), (order, n, k)
     assert terms > 1000
+
+
+def _rebuild_rows(order, powers, n, kept):
+    # every row of d_n from the rows on the tuples ending in 1: each column
+    # of d_n is a coboundary y, and dy(s, t, 1) = 0 for an n-tuple s reads
+    # y(s, t+1) = y(s, t) + (-1)^n (g^(u_0) y(u_1..u_(n+1)) + sum over
+    # j < n of (-1)^(j+1) y(u with u_j u_(j+1) merged)), u = (s, t, 1);
+    # every y on the right but y(s, t) ends in 1, and y is 0 on a tuple
+    # holding the identity.  Integral, so it holds mod p as well.
+    r = powers[0].rows
+    g = [p.to_lists() for p in powers]
+    index = {tup: i for i, tup in
+             enumerate(itertools.product(range(1, order), repeat=n + 1))}
+    rows = dict(kept)
+
+    def add(out, tup, c, sign):
+        if 0 not in tup:
+            for j, v in rows.get(index[tup] * r + c, {}).items():
+                out[j] = out.get(j, 0) + sign * v
+
+    for s in itertools.product(range(1, order), repeat=n):
+        for t in range(1, order - 1):
+            u = s + (t, 1)
+            for c in range(r):
+                out = {}
+                add(out, s + (t,), c, 1)
+                for e, v in enumerate(g[u[0]][c]):
+                    if v:
+                        add(out, u[1:], e, (-1) ** n * v)
+                for j in range(n):
+                    merged = u[:j] + ((u[j] + u[j + 1]) % order,) + u[j + 2:]
+                    add(out, merged, c, (-1) ** (n + j + 1))
+                rows[index[s + (t + 1,)] * r + c] = out
+    return rows
+
+
+@pytest.mark.parametrize("base", [None, 2, 3, 5])
+def test_tuples_ending_in_one_determine_the_bar_differential(base):
+    # the lemma behind the projected build: the full d_n is rebuilt from its
+    # rows on the tuples ending in 1 by the integral recurrence, and the
+    # projected d_n has the full one's divisors over Z and rank over F_p
+    rng = random.Random(27)
+    residue = (lambda v: v) if base is None else (lambda v: (v + base // 2) % base - base // 2)
+    actions = [random_cyclic_action(rng, order)
+               for order in (3, 4, 6) for _ in range(2)]
+    actions += [CyclicAction(6, IntegerMatrix(g)) for g in _SEED_201_ORDER_6]
+    for act in actions:
+        m, r = act.order, act.rank
+        powers = [act.power(i) for i in range(m)]
+        for n in (0, 1, 2, 3, 5) if m <= 4 else range(4):
+            full = _bar_differential(m, powers, n, base)
+            kept = {i: row for i, row in full.items() if _ends_in_one(i, m, r)}
+            rebuilt = _rebuild_rows(m, powers, n, kept)
+            for i in range((m - 1) ** (n + 1) * r):
+                got = {j: residue(v) for j, v in rebuilt.get(i, {}).items() if residue(v)}
+                assert got == full.get(i, {}), (act.gen, n, i)
+            projected = _sparse_rows_diagonal(_bar_transposed(m, powers, n, base))
+            whole = _sparse_rows_diagonal(full)
+            if base is None:
+                assert projected == whole, (act.gen, n)
+            else:
+                assert (sum(1 for d in projected if d % base)
+                        == sum(1 for d in whole if d % base)), (act.gen, n)
+
+
+def test_bar_cohomology_builds_only_the_tuples_ending_in_one(monkeypatch):
+    # the order-6 rank-3 d_3 keeps one tuple in 5: every column of its
+    # transpose, a row of d_3, has a tuple ending in 1
+    seen = []
+
+    def spy(order, powers, n, base=None, drop=()):
+        rows = _bar_transposed(order, powers, n, base, drop)
+        seen.append(n)
+        r = powers[0].rows
+        assert all((i // r) % (order - 1) == 0 for row in rows.values() for i in row), n
+        return rows
+
+    monkeypatch.setattr(oracles, "_bar_transposed", spy)
+    act = CyclicAction(6, IntegerMatrix(_SEED_201_ORDER_6[0]))
+    assert bar_cohomology(act, 3) == [cyclic_cohomology(act, n) for n in range(4)]
+    assert seen == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("base", [None, 2, 3])
 def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
-    # replay bar_cohomology's chain: d_n transposed, without the rows that
-    # d_(n-1)'s unit pivots took, has the divisors of the whole d_n (over
-    # F_p, as many prime to p), and its own unit pivots, each (row j of
-    # d_n^T, column i), span a block d_n[I, J] of determinant +-1
+    # replay bar_cohomology's chain: d_n transposed, on the tuples ending
+    # in 1 and without the rows that d_(n-1)'s unit pivots took, has the
+    # divisors of the whole d_n of the row-wise reference (over F_p, as
+    # many prime to p), and its own unit pivots, each (row j of d_n^T,
+    # column i), span a block d_n[I, J] of the reference of determinant +-1
     rng = random.Random(25)
     actions = [random_cyclic_action(rng, order)
                for order in (2, 3, 4, 6) for _ in range(2)]
@@ -275,13 +366,13 @@ def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
         powers = [act.power(i) for i in range(m)]
         pivots = {}
         for n in range(4):
-            full = _bar_transposed(m, powers, n, base)
+            full = _bar_differential(m, powers, n, base)
             rows = _bar_transposed(m, powers, n, base, pivots)
             if n == 3 and m == 6:
                 assert len(rows) < (m - 1) ** 3 * r
             pivots = {}
             restricted = _sparse_rows_diagonal(rows, pivots)
-            whole = _sparse_rows_diagonal({j: dict(e) for j, e in full.items()})
+            whole = _sparse_rows_diagonal({i: dict(e) for i, e in full.items()})
             if base is None:
                 assert restricted == whole, (act.gen, n)
             else:
@@ -292,7 +383,7 @@ def test_restricted_transposed_bar_diagonals_match_the_full_ones(base):
             # the 208- and 312-pivot blocks are left to the diagonal
             # comparison above
             if 0 < len(pivots) < 200:
-                block = [[full.get(j, {}).get(i, 0) for j in pivots.values()]
+                block = [[full.get(i, {}).get(j, 0) for j in pivots.values()]
                          for i in pivots]
                 assert _fraction_det(block) in (1, -1), (act.gen, n)
                 blocks += 1
