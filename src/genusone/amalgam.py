@@ -137,6 +137,10 @@ TRANSFER_MODULUS = 24
 
 def transfer_cohomology(complex_: CochainComplex, p: int) -> FgAbelianGroup:
     """H^p(SL2(Z), M) from the degree-3 amalgam complex of M (module docstring)."""
+    if p < 0:
+        raise ValueError("p must be non-negative")
+    if len(complex_.ranks) != 4:
+        raise ValueError(f"need the degree-3 complex, not degree {len(complex_.ranks) - 1}")
     if complex_.base is not None or p == 0:
         return cohomology_at(complex_, min(p, 2))
     ranks, records = complex_.reduced()

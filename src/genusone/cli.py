@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="emit a whole table")
     table.set_defaults(handler=_cmd_table)
     table.add_argument("which", choices=("sl2z", "moduli", "moduli-half"))
-    table.add_argument("--max-k", type=int, default=4)
-    table.add_argument("--max-p", type=int, default=7)
+    table.add_argument("--max-k", type=int, default=None)
+    table.add_argument("--max-p", type=int, default=None)
     table.add_argument("--max-n", type=int, default=None)
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -114,13 +114,15 @@ def _cmd_sl2z(args):
 
 
 def _table_sl2z(args) -> str:
-    if args.max_k < 0 or args.max_p < 0:
+    max_k = args.max_k if args.max_k is not None else 4
+    max_p = args.max_p if args.max_p is not None else 7
+    if max_k < 0 or max_p < 0:
         raise UsageError("--max-k and --max-p must be nonnegative")
-    ks, ps = range(args.max_k + 1), range(args.max_p + 1)
+    ks, ps = range(max_k + 1), range(max_p + 1)
     cells = {(k, p): sl2z_cohomology(k, p) for k in ks for p in ps}
     return _output(
         args.format,
-        lambda: {"table": "sl2z", "max_k": args.max_k, "max_p": args.max_p,
+        lambda: {"table": "sl2z", "max_k": max_k, "max_p": max_p,
                  "entries": [{"k": k, "p": p, "group": g}
                              for (k, p), g in cells.items()]},
         csv=lambda: [("k", "p", "group")] + [(k, p, g) for (k, p), g in cells.items()],
@@ -156,6 +158,10 @@ def _table_moduli(args) -> str:
 
 
 def _cmd_table(args):
+    ignored = ("max_n",) if args.which == "sl2z" else ("max_k", "max_p")
+    for name in ignored:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to table {args.which}")
     return (_table_sl2z if args.which == "sl2z" else _table_moduli)(args), 0
 
 

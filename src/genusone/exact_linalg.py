@@ -663,7 +663,8 @@ def localize(group: FgAbelianGroup, inverted: Iterable[int]) -> FgAbelianGroup:
     """Strip the primary parts at every prime dividing a member of ``inverted``.
 
     This is the effect on isomorphism classes of tensoring with the subring
-    of Q in which those integers become units.  Total on any input.
+    of Q in which those integers become units.  Every member of ``inverted``
+    must be at least 2: ``inverted_primes`` raises ValueError otherwise.
     """
     primes = inverted_primes(inverted)
     stripped = []

@@ -43,6 +43,8 @@ class E2Page:
     entries: dict
 
     def entry(self, p: int, q: int) -> FgAbelianGroup:
+        if p < 0 or q < 0:
+            raise ValueError("page indices must be nonnegative")
         if p + q > self.n_max:
             raise ValueError("entry beyond the assembled range")
         return self.entries[(p, q)]

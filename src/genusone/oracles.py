@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the elimination strategy and the
 transform bookkeeping of ``exact_linalg``: ranks and elementary divisors
-come from a sparse gcd diagonalization, small invariant factors from
-determinantal divisors, rational ranks and those divisors' minors from
-one forward fraction elimination (``_fraction_pivots``: a rank counts its
-pivots, a minor is their signed product), and cyclic-group cohomology
-from a truncated bar complex.  The verification suites assert agreement
+come from one sparse pivot loop with no dense fallback
+(``_sparse_rows_diagonal``), small invariant factors from determinantal
+divisors, rational ranks and those divisors' minors from one forward
+fraction elimination (``_fraction_pivots``: a rank counts its pivots, a
+minor is their signed product), and cyclic-group cohomology from a
+truncated bar complex.  The verification suites assert agreement
 between these routes and the production ones.
 
 The bar complex is built on normalized cochains, as sparse rows
@@ -37,26 +38,20 @@ from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, _is_pri
 
 
 def _sparse_rows(m: IntegerMatrix) -> dict:
-    rows = {}
-    data = m.to_lists()
-    for i, row in enumerate(data):
-        entries = {j: v for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-    return rows
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m.to_lists())}
 
 
 def sparse_diagonal(m: IntegerMatrix) -> list:
     """Elementary divisors of an integer matrix, by sparse elimination.
 
-    Unit pivots are consumed first, in heap order: the shortest row
-    holding a +-1 entry, and within it the +-1 column with the fewest
-    entries.  They need no division, and on the bar complexes below
-    they remove almost everything.  When no unit entry is left, the
-    content (the gcd of the residue's entries) is divided out, which can
-    expose new units; a residue of content 1 without units gets the
-    classical gcd reduction.  Returned values are the nonzero diagonal
-    entries of a Smith form, ascending.
+    One loop takes one pivot at a time.  Unit pivots come first, in heap
+    order: the shortest row holding a +-1 entry, and within it the +-1
+    column with the fewest entries.  They need no division, and on the
+    bar complexes below they remove almost everything.  When no unit is
+    left, the content g of the residue is divided out (every later
+    diagonal entry is a multiple of g, and new units may show); a residue
+    of content 1 pivots on an entry of least absolute value.  Returned
+    values are the nonzero diagonal entries of a Smith form, ascending.
     """
     return _sparse_rows_diagonal(_sparse_rows(m))
 
@@ -64,9 +59,18 @@ def sparse_diagonal(m: IntegerMatrix) -> list:
 def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
     """``sparse_diagonal`` on sparse rows {i: {j: v}}, which it consumes.
 
+    A pivot v at (i, j) clears column j by floor-division row operations.
+    If v is then alone in its column, row i is reduced mod v by column
+    operations, which change no other row; if v is then alone in its row
+    too, it is a diagonal entry |v| times the content divided out so far.
+    A nonzero remainder is smaller than |v| and becomes a later pivot.
+    Gcd/lcm pairs (Z/a + Z/b = Z/gcd + Z/lcm) turn the entries above 1
+    into a divisor chain.
+
     When a dict ``pivots`` is given, each unit pivot (i, j) taken before
-    any content is divided out is recorded in it as ``pivots[j] = i``.
+    the heap first runs dry is recorded in it as ``pivots[j] = i``.
     """
+    rows = {i: entries for i, entries in rows.items() if entries}
     # cols[j] lists, append-only, every row that has held column j; the
     # list length is an upper bound on the column count
     cols = {}
@@ -77,30 +81,39 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
     # pushed again, and a stale entry is skipped when it is popped
     heap = [(len(entries), i) for i, entries in rows.items()]
     heapq.heapify(heap)
-
-    ones = 0
-    while heap:
-        length, pi = heapq.heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != length:
-            continue
-        pj, fewest = None, 0  # the first unit column with the fewest listed rows
-        for j, v in prow.items():
-            if (v == 1 or v == -1) and (pj is None or len(cols[j]) < fewest):
-                pj, fewest = j, len(cols[j])
-        if pj is None:
-            continue
-        if pivots is not None:
-            pivots[pj] = pi
+    diagonal, scale = [], 1
+    while rows:
+        if heap:
+            length, pi = heapq.heappop(heap)
+            prow = rows.get(pi)
+            if prow is None or len(prow) != length:
+                continue
+            pj, fewest = None, 0  # the first unit column with the fewest listed rows
+            for j, v in prow.items():
+                if (v == 1 or v == -1) and (pj is None or len(cols[j]) < fewest):
+                    pj, fewest = j, len(cols[j])
+            if pj is None:
+                continue
+            if pivots is not None:
+                pivots[pj] = pi
+        else:
+            pivots = None  # only units taken before the heap first runs dry are recorded
+            content = math.gcd(*(v for entries in rows.values() for v in entries.values()))
+            if content > 1:
+                rows = {i: {j: v // content for j, v in e.items()} for i, e in rows.items()}
+                heap = sorted((len(entries), i) for i, entries in rows.items())
+                scale *= content
+                continue
+            _, pi, pj = min((abs(v), i, j) for i, e in rows.items() for j, v in e.items())
+            prow = rows[pi]
         pivot = prow[pj]
-        del rows[pi]
-        for i in cols.pop(pj):
+        for i in cols[pj]:
             target = rows.get(i)
             # a stale member (a pivoted or emptied row, or one that lost pj,
             # possibly listed twice) holds no pj now, so it needs no update
-            if target is None or pj not in target:
+            if i == pi or target is None or pj not in target:
                 continue
-            q = target[pj] * pivot
+            q = target[pj] // pivot
             for j, v in prow.items():
                 new = target.get(j, 0) - q * v
                 if new:
@@ -113,54 +126,23 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
                 heapq.heappush(heap, (len(target), i))
             else:
                 del rows[i]
-        ones += 1
+        if pivot != 1 and pivot != -1:  # a unit leaves no remainder
+            if any(pj in rows.get(i, ()) for i in cols[pj] if i != pi):
+                continue  # a remainder left in column pj is a smaller pivot
+            rest = {j: r for j, v in prow.items() if (r := v % pivot)}
+            if rest:
+                rows[pi] = {pj: pivot, **rest}
+                heapq.heappush(heap, (len(rest) + 1, pi))
+                continue
+        del rows[pi], cols[pj]
+        diagonal.append(abs(pivot) * scale)
 
-    content = math.gcd(*(v for entries in rows.values() for v in entries.values()))
-    if content > 1:
-        # every divisor of the residue is a multiple of its content, and
-        # dividing the content out may expose new unit pivots
-        residue = {i: {j: v // content for j, v in e.items()} for i, e in rows.items()}
-        return sorted([1] * ones + [content * d for d in _sparse_rows_diagonal(residue)])
-    live_cols = sorted({j for e in rows.values() for j in e})
-    dense = [[rows[i].get(j, 0) for j in live_cols] for i in sorted(rows)]
-    return sorted([1] * ones + [abs(d) for d in _dense_gcd_diagonal(dense) if d])
-
-
-def _dense_gcd_diagonal(a: list) -> list:
-    a = [row[:] for row in a]
-    out = []
-    while a and a[0]:
-        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
-        if not nonzero:
-            break
-        while True:
-            _, pi, pj = min(nonzero)
-            a[0], a[pi] = a[pi], a[0]
-            for row in a:
-                row[0], row[pj] = row[pj], row[0]
-            pivot = a[0][0]
-            for i in range(1, len(a)):
-                q = a[i][0] // pivot
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[0])]
-            for j in range(1, len(a[0])):
-                q = a[0][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[0]
-            if not any(r[0] for r in a[1:]) and not any(a[0][1:]):
-                break
-            # a remainder survived; it is strictly smaller than the old
-            # pivot, so re-selecting the minimum makes progress
-            nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
-        pivot = a[0][0]
-        bad = next((i for i in range(1, len(a)) if any(v % pivot for v in a[i])), None)
-        if bad is not None:
-            a[0] = [x + y for x, y in zip(a[0], a[bad])]
-            continue
-        out.append(abs(pivot))
-        a = [row[1:] for row in a[1:]]
-    return out
+    chain = [d for d in diagonal if d > 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = math.gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def _fraction_pivots(rows: list, cols: int) -> tuple[list, int]:

@@ -278,6 +278,23 @@ def test_transfer_guard_rejects_a_multiple_of_24(divisor):
             transfer_cohomology(cpx, p)
 
 
+@pytest.mark.parametrize("base", [None, 2])
+def test_transfer_cohomology_rejects_a_negative_degree(base):
+    # over Z, p = -1 would otherwise read H^3 by parity (Z/2 + Z/6 for Sym^4)
+    cpx = _module_complex(standard_coefficient_module("sym_k", 4, base=base))
+    with pytest.raises(ValueError, match="non-negative"):
+        transfer_cohomology(cpx, -1)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 9])
+def test_transfer_cohomology_needs_exactly_three_differentials(degree):
+    cpx = build_total_complex(standard_coefficient_module("sym_k", 4), degree).complex
+    assert len(cpx.differentials) == degree
+    for p in (0, 1, 2):
+        with pytest.raises(ValueError, match="degree-3 complex"):
+            transfer_cohomology(cpx, p)
+
+
 def test_three_primary_pattern_matches_the_order_six_vertex_group():
     # with 2 inverted, H^p(SL2(Z), Sym^j) = H^p(Z/6, Sym^j) for p >= 2,
     # Z/6 = <U>: Mayer-Vietoris for the amalgam, whose other terms (Z/4

@@ -122,6 +122,19 @@ def test_table_moduli_half_inverts_two(capsys):
                for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ("sl2z", "--max-n", "3"),
+    ("moduli", "--max-k", "3"),
+    ("moduli-half", "--max-p", "2"),
+    ("moduli", "--max-n", "3", "--max-p", "0"),
+])
+def test_table_rejects_a_flag_its_table_ignores(capsys, argv):
+    code, out, err = run(capsys, "table", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --max-") and "does not apply" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_table_moduli_beyond_the_proved_range(capsys):
     code, _, err = run(capsys, "table", "moduli", "--max-n", "10")
     assert code == 2

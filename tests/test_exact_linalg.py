@@ -246,6 +246,8 @@ def test_direct_sum_and_localize():
     assert localize(g, (6,)) == FgAbelianGroup(1)
     with pytest.raises(ValueError):
         localize(g, (1,))
+    with pytest.raises(ValueError, match=">= 2"):
+        localize(g, [4, 1])
     assert inverted_primes([4, 6, 3]) == (2, 3)
     assert inverted_primes([]) == ()
 

@@ -82,6 +82,9 @@ def test_page_assembly_and_antidiagonal():
     assert page.entry(1, 4) == FgAbelianGroup(1, [2])
     with pytest.raises(ValueError):
         page.entry(4, 4)
+    for p, q in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            page.entry(p, q)
     cells = page.antidiagonal(5)
     assert [pq for pq, _ in cells] == [(p, 5 - p) for p in range(6)]
     for (p, q), group in cells:

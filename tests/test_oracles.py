@@ -89,6 +89,49 @@ def test_rows_diagonal_with_a_pivoted_row_still_listed():
     assert _sparse_rows_diagonal(_sparse_rows(m)) == _smith_diagonal(m) == [1, 1, 4]
 
 
+def test_rows_diagonal_divides_the_content_then_pivots_on_a_least_entry():
+    # no unit and content 2: dividing it out leaves [[2, 3], [3, 2]], still
+    # without a unit, so the least entry 2 clears its column by floor
+    # division and leaves the new unit 3 - 2 = 1 for the heap
+    m = IntegerMatrix([[4, 6], [6, 4]])
+    assert _sparse_rows_diagonal(_sparse_rows(m)) == _smith_diagonal(m) == [2, 10]
+
+
+def test_rows_diagonal_reduces_the_pivot_row_and_chains_the_divisors():
+    # [[2, 3]]: the least entry 2 is alone in its column, and its row mod 2
+    # leaves the unit 1; diag(6, 10, 15) has content 1 but no unit, and
+    # gcd/lcm pairs turn its entries into the chain 1 | 30 | 30
+    m = IntegerMatrix([[2, 3]])
+    assert _sparse_rows_diagonal(_sparse_rows(m)) == [1]
+    m = IntegerMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert _sparse_rows_diagonal(_sparse_rows(m)) == _smith_diagonal(m) == [1, 30, 30]
+
+
+def test_rows_diagonal_skips_rows_given_as_empty_dicts():
+    # empty rows (as the unnormalized bar rows can have) never reach the
+    # least-entry step; the rest is [[4, 6], [0, 4]] on columns 0 and 2
+    rows = {0: {}, 1: {0: 4, 2: 6}, 2: {}, 3: {2: 4}}
+    m = IntegerMatrix([[0, 0, 0], [4, 0, 6], [0, 0, 0], [0, 0, 4]])
+    assert _sparse_rows_diagonal(rows) == [d for d in _smith_diagonal(m) if d] == [2, 8]
+    assert _sparse_rows_diagonal({0: {}, 1: {}}) == []
+
+
+def test_sparse_diagonal_is_one_call_without_a_dense_fallback(monkeypatch):
+    # a content above 1 is divided out inside the loop, not by a second call
+    calls = []
+    real = oracles._sparse_rows_diagonal
+
+    def spy(rows, pivots=None):
+        calls.append(len(rows))
+        return real(rows, pivots)
+
+    monkeypatch.setattr(oracles, "_sparse_rows_diagonal", spy)
+    m = IntegerMatrix([[4, 6, 0], [6, 4, 2], [0, 2, 8]])
+    assert sparse_diagonal(m) == _smith_diagonal(m)
+    assert calls == [3]
+    assert not hasattr(oracles, "_dense_gcd_diagonal")
+
+
 def test_oracles_share_no_engine_elimination():
     # the oracles check the engine, so they must never call its elimination
     engine = {"bareiss_rank", "_bareiss", "_reduce_on_units", "_cancel_units", "reduced",
