@@ -52,17 +52,15 @@ H^p to read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
                            _is_prime, cohomology_at, inverted_primes, localize)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
-@dataclass(frozen=True)
-class AmalgamComplex:
+class AmalgamComplex(NamedTuple):
     """Total complex of the amalgam mapping cone for one coefficient module."""
 
     complex: CochainComplex

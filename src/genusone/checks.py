@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import reference
 from .amalgam import (build_total_complex, sl2z_cohomology,
@@ -32,8 +32,7 @@ from .torsor import (build_canonical_torsor, cyclic_group_data,
                      torsor_translation_orbit)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -298,8 +297,7 @@ SUITES = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteRun:
+class SuiteRun(NamedTuple):
     name: str
     seconds: float
     results: list[CheckResult]

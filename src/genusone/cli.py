@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 from contextlib import nullcontext
-from dataclasses import asdict
 import json
 import math
 import os
@@ -173,7 +172,7 @@ def _cmd_verify(args):
         "suite": args.suite, "seed": args.seed, "passed": passed,
         "total": len(results),
         "suites": [{"name": run.name, "seconds": round(run.seconds, 6),
-                    "checks": [asdict(r) for r in run.results]} for run in runs]}
+                    "checks": [r._asdict() for r in run.results]} for run in runs]}
     text = lambda: "\n".join([f"suite: {args.suite}", f"seed: {args.seed}",
                               *(r.line() for r in results),
                               f"{passed}/{len(results)} checks passed"])

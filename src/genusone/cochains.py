@@ -27,8 +27,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _lattice_vector(vector, rank: int) -> tuple:
@@ -45,25 +45,34 @@ def _lattice_vector(vector, rank: int) -> tuple:
     return clean
 
 
-@dataclass(frozen=True)
 class DualVector:
     """A linear form on the lattice, given by its coefficient vector.
 
     The coefficients are also kept as integer ``numerators`` over their
-    least common ``denominator``.
+    least common ``denominator``.  Equality and hashing cover the
+    coefficients only.
     """
 
-    coefficients: tuple
-    denominator: int = field(repr=False, compare=False)
-    numerators: tuple = field(repr=False, compare=False)
+    __slots__ = ("coefficients", "denominator", "numerators")
 
     def __init__(self, coefficients):
         coefficients = tuple(Fraction(c) for c in coefficients)
         denominator = math.lcm(*(c.denominator for c in coefficients))
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "numerators", tuple(
-            c.numerator * (denominator // c.denominator) for c in coefficients))
+        self.coefficients = coefficients
+        self.denominator = denominator
+        self.numerators = tuple(
+            c.numerator * (denominator // c.denominator) for c in coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __repr__(self):
+        return f"DualVector(coefficients={self.coefficients!r})"
 
     @property
     def rank(self) -> int:
@@ -78,8 +87,7 @@ class DualVector:
         return sum(map(operator.mul, self.numerators, vector))
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(NamedTuple):
     """An n-argument function of integer lattice vectors, exact rationals out.
 
     ``evaluator`` takes tuples of ints and returns the value times
@@ -161,8 +169,7 @@ def cup(phi1: DualVector, phi2: DualVector) -> Cochain:
                    phi1.denominator * phi2.denominator)
 
 
-@dataclass(frozen=True)
-class PointwiseReport:
+class PointwiseReport(NamedTuple):
     passed: bool
     samples: int
     failure: tuple | None = None

@@ -47,21 +47,26 @@ _TRIAL_DIVISION_LIMIT = 10 ** 6
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above the exact range.
+    """Trial division by the bases, then deterministic Miller-Rabin.
+
+    A multiple of a base is decided at any size; any other n at or above
+    the exact range raises ValueError.
 
     >>> [q for q in range(30) if _is_prime(q)]
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     >>> _is_prime(10 ** 18 + 3), _is_prime(1_000_003 * 1_000_033)
     (True, False)
+    >>> _is_prime(10 ** 27)
+    False
     """
-    if n >= _PRIME_TEST_LIMIT:
-        raise ValueError(f"cannot decide whether {n} is prime: "
-                         f"only integers below {_PRIME_TEST_LIMIT} are tested")
     if n < 2:
         return False
     for q in _PRIME_BASES:
         if n % q == 0:
             return n == q
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"only integers below {_PRIME_TEST_LIMIT} are tested")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

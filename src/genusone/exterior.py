@@ -14,7 +14,7 @@ basis, never per-element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochains import DualVector
 
@@ -142,8 +142,7 @@ def classifying_pullback(lam: DualVector, copies: int) -> ExteriorElement:
     return total
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(NamedTuple):
     k: int
     passed: bool
     sign: int | None

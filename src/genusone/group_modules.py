@@ -24,7 +24,6 @@ functor: sym_power_matrix(g*h, k) == sym_power_matrix(g, k) * sym_power_matrix(h
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exact_linalg import IntegerMatrix, _is_prime
@@ -71,7 +70,6 @@ def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
                          cols=k + 1)
 
 
-@dataclass(frozen=True)
 class GroupModule:
     """A module for SL2(Z), over Z (base None) or F_p: the actions S and U.
 
@@ -80,14 +78,18 @@ class GroupModule:
     S^4 = 1 and S^2 = U^3 are certified in one place: the d o d check of
     the complex that ``amalgam.build_total_complex`` builds from the module
     (see ``amalgam._parity_blocks``).  They make S and U invertible, so no
-    determinant is taken.  Two modules are equal, and hash alike, when
-    their S, U and base are; the ``name`` is a label only.
+    determinant is taken.  Equality and hashing cover ``(s, u, base)``
+    only, so a module is the cache key of ``amalgam._module_complex``
+    whatever its ``name``, a label only.  The shape check keeps the name
+    ``__post_init__``, which ``bench/spans.py`` traces to count modules.
     """
 
-    s: IntegerMatrix
-    u: IntegerMatrix
-    base: int | None = None
-    name: str = field(default="module", compare=False)
+    __slots__ = ("s", "u", "base", "name")
+
+    def __init__(self, s: IntegerMatrix, u: IntegerMatrix, base: int | None = None,
+                 name: str = "module"):
+        self.s, self.u, self.base, self.name = s, u, base, name
+        self.__post_init__()
 
     def __post_init__(self):
         if self.base is not None and not _is_prime(self.base):
@@ -95,6 +97,18 @@ class GroupModule:
         for gen, mat in (("S", self.s), ("U", self.u)):
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.u, self.base) == (other.s, other.u, other.base)
+
+    def __hash__(self):
+        return hash((self.s, self.u, self.base))
+
+    def __repr__(self):
+        return (f"GroupModule(s={self.s!r}, u={self.u!r}, base={self.base!r}, "
+                f"name={self.name!r})")
 
     @property
     def rank(self) -> int:

@@ -10,7 +10,7 @@ accessor refuses beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .amalgam import sl2z_cohomology
 from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _is_prime, direct_sum,
@@ -37,8 +37,7 @@ def e2_entry(p: int, q: int) -> FgAbelianGroup:
     return sl2z_cohomology(q // 2, p)
 
 
-@dataclass(frozen=True)
-class E2Page:
+class E2Page(NamedTuple):
     n_max: int
     entries: dict
 
@@ -97,8 +96,7 @@ def half_inverted_group(n: int) -> FgAbelianGroup:
     return localize(direct_sum(m11_group(n), complement_group(n)), (2,))
 
 
-@dataclass(frozen=True)
-class Mod2Row:
+class Mod2Row(NamedTuple):
     n: int
     expected: int
     computed: int
@@ -108,8 +106,7 @@ class Mod2Row:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
-class Mod2Report:
+class Mod2Report(NamedTuple):
     rows: tuple
 
     @property
@@ -141,8 +138,7 @@ def mod2_consistency(n_max: int = 8) -> Mod2Report:
     return Mod2Report(tuple(rows))
 
 
-@dataclass(frozen=True)
-class PTorsionWitness:
+class PTorsionWitness(NamedTuple):
     prime: int
     invariant_vector: tuple
     fixed_by_s: bool

@@ -11,7 +11,7 @@ it can serve as an independent check on the resolution-based machinery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_linalg import _is_prime, fp_rank
 
@@ -27,8 +27,7 @@ def _class_rep(m: tuple) -> tuple:
     return min(m, _neg(m))
 
 
-@dataclass(frozen=True)
-class TorsorConfiguration:
+class TorsorConfiguration(NamedTuple):
     """The doubling cover of (Z/4)^2 and its partitions into two sections.
 
     ``classes`` lists sign-classes of exact-order-4 elements, each named
@@ -135,8 +134,7 @@ def cycle_lengths(perm: dict) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
-@dataclass(frozen=True)
-class TorsorWitness:
+class TorsorWitness(NamedTuple):
     generator: tuple
     permutation: dict
     cycles: tuple
@@ -165,29 +163,33 @@ def _mat_mul(x: tuple, y: tuple, p: int) -> tuple:
                        for c in range(d)) for r in range(d))
 
 
-@dataclass(frozen=True)
 class FiniteGroupData:
     """A finite group as a full multiplication table, acting on F_p^d.
 
     ``table[i][j]`` is the index of element i times element j; ``action``
     gives one d x d matrix mod p per element.  Construction validates the
     table (identity and inverses in full, associativity on seeded random
-    triples) and the action (homomorphism on seeded random pairs).
+    triples) and the action (homomorphism on seeded random pairs).  Every
+    shape and index is checked before it is read, so bad input raises
+    ValueError, never IndexError.
     """
 
-    elements: tuple
-    table: tuple
-    action: tuple
-    p: int
-    identity: int = 0
+    __slots__ = ("elements", "table", "action", "p", "identity")
 
-    def __post_init__(self):
+    def __init__(self, elements: tuple, table: tuple, action: tuple, p: int,
+                 identity: int = 0):
+        self.elements, self.table, self.action = elements, table, action
+        self.p, self.identity = p, identity
         n = len(self.elements)
         if not _is_prime(self.p):
             raise ValueError("the coefficient field needs a prime p")
+        if n < 1:
+            raise ValueError("a finite group needs at least one element")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("multiplication table has the wrong shape")
         e = self.identity
+        if not 0 <= e < n:
+            raise ValueError(f"identity index {e} is outside range({n})")
         if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
             raise ValueError("the designated identity does not act as one")
         for i in range(n):
@@ -200,9 +202,9 @@ class FiniteGroupData:
             i, j, k = (rng.randrange(n) for _ in range(3))
             if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
                 raise ValueError("multiplication table is not associative")
-        d = len(self.action[0])
         if len(self.action) != n:
             raise ValueError("need one action matrix per element")
+        d = len(self.action[0])
         if self.action[e] != tuple(tuple(int(r == c) for c in range(d)) for r in range(d)):
             raise ValueError("identity must act as the identity matrix")
         for _ in range(min(500, n * n)):

@@ -83,6 +83,12 @@ def test_dual_vector_keeps_integer_numerators():
     assert type(value) is Fraction
     assert value == Fraction(29, 6)
     assert phi == DualVector([Fraction(3, 6), Fraction(-4, 6), 5])
+    # equality and hashing read the coefficients, the repr shows only them
+    one_two = DualVector([1, 2])
+    assert one_two == DualVector([Fraction(2, 2), 2])
+    assert hash(one_two) == hash(DualVector([Fraction(2, 2), 2]))
+    assert one_two != DualVector([1, 3])
+    assert repr(one_two) == "DualVector(coefficients=(Fraction(1, 1), Fraction(2, 1)))"
 
 
 def _reference_splitting(phis, vectors):

@@ -126,3 +126,10 @@ def test_high_degrees_fold_onto_a_complex_of_degree_three(monkeypatch):
             assert cyclic_cohomology(act, n) == explicit, (act.order, n)
     # n = 0..12 read one complex of degree 3 per action
     assert tops == [3] * len(actions)
+    # the cached complex takes no part in equality or hashing
+    for act in actions:
+        fresh = CyclicAction(act.order, IntegerMatrix(act.gen.to_lists()), act.base)
+        assert act._complex is not None and fresh._complex is None
+        assert act == fresh and hash(act) == hash(fresh)
+    assert actions[0] != CyclicAction(4, actions[0].gen, base=5)
+    assert repr(actions[1]) == f"CyclicAction(order=6, gen={actions[1].gen!r}, base=3)"

@@ -216,6 +216,8 @@ def test_primality_and_factoring():
     assert not _is_prime(3825123056546413051)
     assert not _is_prime(318665857834031151167461)
     assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+    # past the exact range, a multiple of a base is still decided
+    assert not _is_prime(10 ** 27) and not _is_prime(3 * 3317044064679887385961981)
     with pytest.raises(ValueError, match="cannot decide"):
         _is_prime(3317044064679887385961981)
     assert _factor(2 ** 10 * 3 * 999983 ** 2) == {2: 10, 3: 1, 999983: 2}

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,3 +78,32 @@ def test_the_dead_name_check_sees_an_unused_name():
     source = ("import os\n__version__ = '1'\nUSED, DEAD = 1, 2\nLONE: int = 3\n"
               "def helper():\n    return USED\nclass Gone:\n    pass\n")
     assert _dead_names({"m": source}, [source, "helper()"]) == ["m.DEAD", "m.Gone", "m.LONE"]
+
+
+#: modules that ``dataclasses`` pulls in; none is needed to run the CLI
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_a_cold_cli_import_loads_no_dataclasses():
+    # a fresh interpreter imports as the benchmark worker does: the package,
+    # then its CLI; each module it leaves loaded raises every command's floor
+    probe = ("import sys\nimport genusone\nimport genusone.cli\n"
+             f"print(*(m for m in {INTROSPECTION!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(genusone.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-B", "-c", probe], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout.split() == []
+
+
+def _imported_roots(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples or classes with __slots__
+    assert [path.name for path in SOURCES
+            if "dataclasses" in _imported_roots(ast.parse(path.read_text(encoding="utf-8")))] == []

@@ -221,6 +221,14 @@ def test_finite_group_data_validation():
     # composite coefficient modulus
     with pytest.raises(ValueError):
         FiniteGroupData(elements, good_table, action, 4)
+    # an empty group, an empty action and an identity outside range(n)
+    # are rejected before anything is indexed
+    for args, message in [(((), (), (), 2), "at least one element"),
+                          (((0,), ((0,),), (), 2), "one action matrix per element"),
+                          (((0,), ((0,),), (eye,), 2, 5), "outside range"),
+                          (((0,), ((0,),), (eye,), 2, -3), "outside range")]:
+        with pytest.raises(ValueError, match=message):
+            FiniteGroupData(*args)
     # and a sane instance passes
     data = FiniteGroupData(elements, good_table, (eye, flip), 2)
     assert data.order == 2
