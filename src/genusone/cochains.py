@@ -9,8 +9,9 @@ A linear form keeps its coefficients as integer numerators over one
 common denominator, the alternating map a^k sums integer products of
 those numerators over k! times the product of the denominators, and the
 differential keeps the denominator of its input.  So the identities below
-are compared as integers, and calling a cochain builds a single exact
-``Fraction`` at the end.
+are compared as integers.  There is no call API: the value of a cochain at
+integer vectors is ``Fraction(c.evaluator(*vectors), c.denominator)``, and
+that of a form ``Fraction(phi.numerator(v), phi.denominator)``.
 
 Two identities are certified, each proved on a finite grid that
 determines every polynomial of the degree involved: d(a^k) = 0 on tuples
@@ -29,20 +30,6 @@ import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
-
-
-def _lattice_vector(vector, rank: int) -> tuple:
-    """``vector`` as a tuple of ints; non-integral entries are rejected."""
-    if len(vector) != rank:
-        raise ValueError(f"lattice vectors have length {rank}")
-    try:
-        clean = tuple(map(int, vector))
-        exact = clean == tuple(vector)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise ValueError(f"lattice vectors have integer entries, got {vector!r}")
-    return clean
 
 
 class DualVector:
@@ -78,10 +65,6 @@ class DualVector:
     def rank(self) -> int:
         return len(self.coefficients)
 
-    def __call__(self, vector) -> Fraction:
-        return Fraction(self.numerator(_lattice_vector(vector, self.rank)),
-                        self.denominator)
-
     def numerator(self, vector) -> int:
         """denominator * phi(vector), for ints of the right length."""
         return sum(map(operator.mul, self.numerators, vector))
@@ -98,12 +81,6 @@ class Cochain(NamedTuple):
     rank: int
     evaluator: object
     denominator: int = 1
-
-    def __call__(self, *vectors) -> Fraction:
-        if len(vectors) != self.arity:
-            raise ValueError(f"arity {self.arity} cochain got {len(vectors)} arguments")
-        clean = [_lattice_vector(v, self.rank) for v in vectors]
-        return Fraction(self.evaluator(*clean), self.denominator)
 
 
 def cochain_differential(f: Cochain) -> Cochain:

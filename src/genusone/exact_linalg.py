@@ -140,7 +140,7 @@ class IntegerMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
         self.rows, self.cols = len(table), cols
         self._rows = tuple(map(_stored_row, table))
@@ -214,11 +214,6 @@ class IntegerMatrix:
         return IntegerMatrix._stored(tuple(_stored_row(_row_product(row, right, width))
                                            for row in self._rows), width)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __add__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -234,28 +229,6 @@ class IntegerMatrix:
 
     def __neg__(self):
         return self * -1
-
-    def __pow__(self, k: int):
-        if self.rows != self.cols:
-            raise ValueError("only square matrices have powers")
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = IntegerMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def transpose(self) -> "IntegerMatrix":
-        columns = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self._rows):
-            for j, x in _pairs(row):
-                columns[j] += (i, x)
-        return IntegerMatrix._stored(tuple(map(tuple, columns)), self.rows)
 
     def mod(self, p: int) -> "IntegerMatrix":
         """Entries reduced into [0, p); a matrix already reduced is returned as is."""
@@ -582,7 +555,8 @@ class FgAbelianGroup:
     Stored as a free rank plus the ascending chain of invariant factors,
     each at least 2 and each dividing the next.  The constructor accepts an
     arbitrary multiset of cyclic orders and normalizes, so
-    ``FgAbelianGroup(0, [4, 3]) == FgAbelianGroup(0, [12])``.
+    ``FgAbelianGroup(0, [4, 3]) == FgAbelianGroup(0, [12])``.  The free rank
+    and the orders are ints (a bool is not one); anything else is a TypeError.
 
     >>> FgAbelianGroup(1, [2, 6]).render()
     'Z + Z/2 + Z/6'
@@ -595,9 +569,13 @@ class FgAbelianGroup:
     __slots__ = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int = 0, cyclic_orders: Iterable[int] = ()):
+        orders = list(cyclic_orders)
+        for x in (free_rank, *orders):
+            if type(x) is not int:
+                raise TypeError(f"free rank and cyclic orders must be int, got {type(x).__name__}")
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        orders = [order for order in cyclic_orders if order != 1]
+        orders = [order for order in orders if order != 1]
         if any(order < 1 for order in orders):
             raise ValueError(f"cyclic order must be positive, got {min(orders)}")
         # Z/a + Z/b = Z/gcd + Z/lcm; after pass i, orders[i] divides every
@@ -611,9 +589,6 @@ class FgAbelianGroup:
         self.invariant_factors = tuple(f for f in orders if f > 1)
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     @property
     def torsion_order(self) -> int:
@@ -704,10 +679,6 @@ def mod_p_dims(group: FgAbelianGroup, p: int) -> ModPDims:
 def group_to_json(group: FgAbelianGroup) -> dict:
     return {"free_rank": group.free_rank,
             "invariant_factors": list(group.invariant_factors)}
-
-
-def group_from_json(obj: dict) -> FgAbelianGroup:
-    return FgAbelianGroup(obj["free_rank"], obj["invariant_factors"])
 
 
 class CochainComplex:

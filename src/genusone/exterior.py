@@ -41,26 +41,16 @@ class ExteriorElement:
     def generator(cls, index: int) -> "ExteriorElement":
         return cls({(index,): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, ExteriorElement):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, 0) + coeff
         return ExteriorElement(out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -72,8 +62,6 @@ class ExteriorElement:
                 if sign:
                     out[merged] = out.get(merged, 0) + sign * c1 * c2
         return ExteriorElement(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.terms:

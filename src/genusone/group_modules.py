@@ -31,7 +31,6 @@ from .exact_linalg import IntegerMatrix, _is_prime
 S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
 T_MATRIX = IntegerMatrix([[1, 1], [0, 1]])  # equals S^{-1} * U
-MINUS_IDENTITY = IntegerMatrix([[-1, 0], [0, -1]])
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -132,18 +131,14 @@ def _sym_module(k: int, base: int | None) -> GroupModule:
 
 def standard_coefficient_module(name: str, k: int | None = None,
                                 base: int | None = None) -> GroupModule:
-    """The coefficient systems used throughout: "sym_k", "f2_squared", "trivial_Z".
+    """The coefficient systems used throughout: "sym_k" and "f2_squared".
 
     "sym_k" needs the symmetric-power degree k; with a prime ``base`` it
     is the integral Sym^k reduced mod base (``GroupModule.reduce``) once.
-    "f2_squared" is the rank-2 mod-2 reduction of the standard module;
-    "trivial_Z" is Z with every generator acting as the identity.
+    "f2_squared" is the rank-2 mod-2 reduction of the standard module.
     """
     if base is not None and name != "sym_k":
         raise ValueError(f"module {name!r} takes no base")
-    if name == "trivial_Z":
-        one = IntegerMatrix([[1]])
-        return GroupModule(one, one, name="trivial_Z")
     if name == "sym_k":
         if k is None or k < 0:
             raise ValueError("sym_k needs a non-negative degree k")

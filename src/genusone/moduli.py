@@ -38,23 +38,17 @@ def e2_entry(p: int, q: int) -> FgAbelianGroup:
 
 
 class E2Page(NamedTuple):
+    """The page entries ``entries[(p, q)]`` for p + q <= n_max, read by antidiagonal."""
+
     n_max: int
     entries: dict
 
-    def entry(self, p: int, q: int) -> FgAbelianGroup:
-        if p < 0 or q < 0:
-            raise ValueError("page indices must be nonnegative")
-        if p + q > self.n_max:
-            raise ValueError("entry beyond the assembled range")
-        return self.entries[(p, q)]
-
-    def antidiagonal(self, n: int, base_row: bool = True):
-        """Entries with p + q = n, as a list of ((p, q), group)."""
-        cells = []
-        for (p, q), group in sorted(self.entries.items()):
-            if p + q == n and (base_row or q > 0):
-                cells.append(((p, q), group))
-        return cells
+    def antidiagonal(self, n: int):
+        """Entries with p + q = n, as a list of ((p, q), group), 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"antidiagonal {n} is outside the assembled range 0..{self.n_max}")
+        return [((p, q), group) for (p, q), group in sorted(self.entries.items())
+                if p + q == n]
 
 
 def e2_page(n_max: int) -> E2Page:
@@ -128,8 +122,8 @@ def mod2_consistency(n_max: int = 8) -> Mod2Report:
     degrees <= 9: any nonzero differential or nonsplit extension would
     make some computed count too small.
     """
-    if n_max > len(EXPECTED_MOD2_DIMS) - 1:
-        raise ValueError(f"frozen dimensions stop at degree {len(EXPECTED_MOD2_DIMS) - 1}")
+    if not 0 <= n_max <= len(EXPECTED_MOD2_DIMS) - 1:
+        raise ValueError(f"n_max must be in 0..{len(EXPECTED_MOD2_DIMS) - 1}, got {n_max}")
     rows = []
     for n in range(n_max + 1):
         tensor = mod_p_dims(complement_group(n), 2).dim_tensor

@@ -6,6 +6,8 @@ torsor has 4, and the largest group handled by the cocycle solver is
 GL_2(Z/4) with 96 elements.  The solver deliberately writes down the full
 |G|^2 system of cocycle equations instead of reducing to generators, so
 it can serve as an independent check on the resolution-based machinery.
+The torsor functions take the configuration ``build_canonical_torsor``
+returns, built once by the caller.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class TorsorConfiguration(NamedTuple):
     containing ``classes[0]``.
     """
 
-    module: tuple
     order_four: tuple
     classes: tuple
     two_torsion: tuple
@@ -88,7 +89,7 @@ def build_canonical_torsor() -> TorsorConfiguration:
         if classes[0] not in part:
             part = complement
         elements.add(tuple(sorted(part)))
-    config = TorsorConfiguration(module, order_four, classes, two_torsion,
+    config = TorsorConfiguration(order_four, classes, two_torsion,
                                  targets, phi, tuple(sorted(elements)), raw)
     if len(config.elements) != 4:
         raise AssertionError("torsor must have 4 elements")
@@ -102,15 +103,13 @@ def build_canonical_torsor() -> TorsorConfiguration:
     return config
 
 
-def torsor_translation_orbit(t: tuple, config: TorsorConfiguration | None = None) -> dict:
-    """Map each 2-torsion translation to its effect on the element t."""
-    config = config or build_canonical_torsor()
+def torsor_translation_orbit(t: tuple, config: TorsorConfiguration) -> dict:
+    """Map each 2-torsion translation to its effect on the element t of ``config``."""
     return {a: config.translate(a, t) for a in config.two_torsion}
 
 
-def torsor_matrix_action(g, config: TorsorConfiguration | None = None) -> dict:
-    """The permutation of the torsor induced by g in GL_2(Z/4)."""
-    config = config or build_canonical_torsor()
+def torsor_matrix_action(g, config: TorsorConfiguration) -> dict:
+    """The permutation of the torsor ``config`` induced by g in GL_2(Z/4)."""
     (a, b), (c, d) = ((x % MODULUS for x in row) for row in g)
     if (a * d - b * c) % 2 == 0:
         raise ValueError("matrix is not invertible mod 4")
@@ -150,7 +149,8 @@ class TorsorWitness(NamedTuple):
         return self.fixed_point_free and self.cycles == (4,)
 
 
-def torsor_nontriviality_witness(config: TorsorConfiguration | None = None) -> TorsorWitness:
+def torsor_nontriviality_witness(config: TorsorConfiguration) -> TorsorWitness:
+    """The permutation of the torsor ``config`` by T = ((1, 1), (0, 1)), with its cycles."""
     generator = ((1, 1), (0, 1))
     perm = torsor_matrix_action(generator, config)
     return TorsorWitness(generator, perm, cycle_lengths(perm))
@@ -195,8 +195,6 @@ class FiniteGroupData:
         for i in range(n):
             if sorted(self.table[i]) != list(range(n)):
                 raise ValueError("rows must be permutations (no inverses otherwise)")
-            if e not in self.table[i]:
-                raise ValueError(f"element {i} has no right inverse")
         rng = random.Random(0)
         for _ in range(min(500, n ** 3)):
             i, j, k = (rng.randrange(n) for _ in range(3))
@@ -205,6 +203,8 @@ class FiniteGroupData:
         if len(self.action) != n:
             raise ValueError("need one action matrix per element")
         d = len(self.action[0])
+        if any(len(mat) != d or any(len(row) != d for row in mat) for mat in self.action):
+            raise ValueError(f"every action matrix must be {d} x {d}")
         if self.action[e] != tuple(tuple(int(r == c) for c in range(d)) for r in range(d)):
             raise ValueError("identity must act as the identity matrix")
         for _ in range(min(500, n * n)):

@@ -25,14 +25,17 @@ def test_rejects_a_base_that_is_not_prime(base):
 
 def test_cached_powers_are_reduced_and_periodic():
     u = IntegerMatrix([[0, -1], [1, 1]])
+    powers = [IntegerMatrix.identity(2)]
+    for _ in range(12):
+        powers.append(powers[-1] * u)
     for base in (None, 2, 5):
         act = CyclicAction(6, u, base=base)
         for i in range(13):
-            want = u ** i if base is None else (u ** i).mod(base)
+            want = powers[i] if base is None else powers[i].mod(base)
             assert act.power(i) == want, (base, i)
         total = IntegerMatrix.zeros(2, 2)
         for i in range(6):
-            total = total + u ** i
+            total = total + powers[i]
         assert act.norm() == (total if base is None else total.mod(base))
     with pytest.raises(ValueError):
         CyclicAction(2, u, base=5)

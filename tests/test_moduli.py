@@ -78,23 +78,20 @@ def test_half_inverted_values():
 
 def test_page_assembly_and_antidiagonal():
     page = e2_page(6)
-    assert page.entry(2, 0) == _t(12)
-    assert page.entry(1, 4) == FgAbelianGroup(1, [2])
-    with pytest.raises(ValueError):
-        page.entry(4, 4)
-    for p, q in ((-1, 0), (0, -1)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            page.entry(p, q)
+    assert sorted(page.entries) == [(p, q) for p in range(7) for q in range(7 - p)]
+    assert page.entries[(2, 0)] == _t(12)
     cells = page.antidiagonal(5)
     assert [pq for pq, _ in cells] == [(p, 5 - p) for p in range(6)]
     for (p, q), group in cells:
         if q % 2:
             assert group == ZERO, (p, q)
-    no_base = page.antidiagonal(5, base_row=False)
-    assert [pq for pq, _ in no_base] == [(p, 5 - p) for p in range(5)]
-    lookup = dict(no_base)
+    lookup = dict(cells)
     assert lookup[(1, 4)] == FgAbelianGroup(1, [2])
     assert lookup[(3, 2)] == ZERO
+    assert [pq for pq, _ in page.antidiagonal(0)] == [(0, 0)]
+    for n in (-1, 7):
+        with pytest.raises(ValueError, match="outside the assembled range"):
+            page.antidiagonal(n)
 
 
 def test_mod2_consistency_report():
@@ -102,6 +99,10 @@ def test_mod2_consistency_report():
     assert report.consistent
     assert tuple(r.computed for r in report.rows) == EXPECTED_MOD2_DIMS
     assert tuple(r.n for r in report.rows) == tuple(range(9))
+    assert [r.n for r in mod2_consistency(0).rows] == [0]
+    for n_max in (-1, 9):
+        with pytest.raises(ValueError, match="n_max must be in 0..8"):
+            mod2_consistency(n_max)
 
 
 def test_p_torsion_scan_small_primes():

@@ -14,7 +14,6 @@ from genusone.torsor import (FiniteGroupData, _f2_cocycle_columns, _rank_f2,
 
 def test_configuration_counts():
     cfg = build_canonical_torsor()
-    assert len(cfg.module) == 16
     assert len(cfg.order_four) == 12
     assert len(cfg.classes) == 6
     assert len(cfg.two_torsion) == 4
@@ -56,7 +55,7 @@ def test_translation_rejects_bad_input():
 
 
 def test_shear_acts_by_a_four_cycle():
-    witness = torsor_nontriviality_witness()
+    witness = torsor_nontriviality_witness(build_canonical_torsor())
     assert witness.generator == ((1, 1), (0, 1))
     assert witness.cycles == (4,)
     assert witness.fixed_point_free
@@ -221,10 +220,14 @@ def test_finite_group_data_validation():
     # composite coefficient modulus
     with pytest.raises(ValueError):
         FiniteGroupData(elements, good_table, action, 4)
-    # an empty group, an empty action and an identity outside range(n)
-    # are rejected before anything is indexed
+    # an empty group, an empty action, an identity outside range(n) and
+    # action matrices that are not all d x d are rejected before anything
+    # is indexed
+    eye3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for args, message in [(((), (), (), 2), "at least one element"),
                           (((0,), ((0,),), (), 2), "one action matrix per element"),
+                          ((elements, good_table, (eye, eye3), 2), "must be 2 x 2"),
+                          ((elements, good_table, (eye, ((1,), (0, 1))), 2), "must be 2 x 2"),
                           (((0,), ((0,),), (eye,), 2, 5), "outside range"),
                           (((0,), ((0,),), (eye,), 2, -3), "outside range")]:
         with pytest.raises(ValueError, match=message):
