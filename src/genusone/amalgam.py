@@ -53,10 +53,10 @@ H^p to read.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
-                           _is_prime, cohomology_at, inverted_primes, localize)
+                           _is_prime, cohomology_at)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
@@ -156,9 +156,10 @@ def _module_complex(module: GroupModule) -> CochainComplex:
     return build_total_complex(module, 3).complex
 
 
-def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
-                    invert: Iterable[int] = ()) -> FgAbelianGroup:
-    """H^p(SL2(Z), Sym^k) over Z, over F_modulus, or with primes inverted.
+def sl2z_cohomology(k: int, p: int, modulus: int | None = None) -> FgAbelianGroup:
+    """H^p(SL2(Z), Sym^k) over Z, or over F_modulus.
+
+    With primes inverted it is ``exact_linalg.localize`` of the integral group.
 
     >>> str(sl2z_cohomology(0, 2))
     'Z/12'
@@ -173,11 +174,7 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None,
         raise ValueError("k and p must be non-negative")
     if modulus is not None and not _is_prime(modulus):
         raise ValueError(f"modulus must be a prime, got {modulus}")
-    inverted = inverted_primes(invert)
-    if modulus is not None and inverted:
-        raise ValueError("choose either a prime field or primes to invert, not both")
-    group = sl2z_cohomology_module(standard_coefficient_module("sym_k", k, base=modulus), p)
-    return localize(group, inverted) if inverted else group
+    return sl2z_cohomology_module(standard_coefficient_module("sym_k", k, base=modulus), p)
 
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:

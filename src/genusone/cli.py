@@ -16,7 +16,7 @@ import sys
 
 from .amalgam import sl2z_cohomology
 from .checks import run_suites, SUITES
-from .exact_linalg import group_to_json, inverted_primes
+from .exact_linalg import group_to_json, inverted_primes, localize
 from .moduli import (DegenerationUnproven, complement_group,
                      half_inverted_group, m11_group)
 from .torsor import (build_canonical_torsor, cyclic_group_data,
@@ -95,7 +95,7 @@ def _cmd_sl2z(args):
         raise UsageError("--k and --p must be nonnegative")
     try:
         invert = inverted_primes(args.invert or ())
-        group = sl2z_cohomology(args.k, args.p, modulus=args.mod, invert=invert)
+        group = localize(sl2z_cohomology(args.k, args.p, modulus=args.mod), invert)
     except ValueError as exc:
         raise UsageError(str(exc))
 

@@ -633,6 +633,8 @@ def inverted_primes(inverted: Iterable[int]) -> tuple[int, ...]:
     """
     primes: set[int] = set()
     for n in inverted:
+        if type(n) is not int:
+            raise TypeError(f"can only invert ints, got {type(n).__name__}")
         if n < 2:
             raise ValueError("can only invert integers >= 2")
         primes.update(_factor(n))
@@ -708,7 +710,10 @@ class CochainComplex:
 
     def __init__(self, ranks: Iterable[int], differentials: Iterable[IntegerMatrix],
                  base: int | None = None):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
+        for r in ranks:
+            if type(r) is not int:
+                raise TypeError(f"ranks must be int, got {type(r).__name__}")
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
         if base is not None and not _is_prime(base):
@@ -758,17 +763,17 @@ class DifferentialRecord:
     Z/s_1 + ... + Z/s_r + (Z/N)^(rows - r), which ``factors_mod(N)`` computes
     from a diagonal form modulo N with entries below N (the mod-determinant
     method of Hafner and McCurley); ``divisors`` strips the top rows - r
-    invariant factors, which are N, and keeps the rest above 1.
+    invariant factors, which are N, and keeps the rest above 1, checking
+    that fit on each read of the cached ``factors_mod(N)``.
     ``factors_mod(m)`` reads the cokernel mod any m, once per modulus.
     """
 
-    __slots__ = ("shape", "_matrix", "_rank_minor", "_divisors", "_mod_factors")
+    __slots__ = ("shape", "_matrix", "_rank_minor", "_mod_factors")
 
     def __init__(self, matrix: IntegerMatrix):
         self.shape = matrix.shape
         self._matrix = matrix
         self._rank_minor = None
-        self._divisors = None
         self._mod_factors = {}
 
     def _bareiss(self) -> tuple[int, int]:
@@ -782,18 +787,16 @@ class DifferentialRecord:
 
     @property
     def divisors(self) -> tuple[int, ...]:
-        if self._divisors is None:
-            rank, minor = self._bareiss()
-            divisors = ()
-            if minor != 1:
-                factors = self.factors_mod(minor)
-                top = self.shape[0] - rank
-                divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
-                if stripped != (minor,) * top or minor % math.prod(divisors):
-                    raise RuntimeError("elementary divisor certificate failed: "
-                                       f"factors {factors} do not fit the minor {minor}")
-            self._divisors = divisors
-        return self._divisors
+        rank, minor = self._bareiss()
+        if minor == 1:
+            return ()
+        factors = self.factors_mod(minor)
+        top = self.shape[0] - rank
+        divisors, stripped = factors[:len(factors) - top], factors[len(factors) - top:]
+        if stripped != (minor,) * top or minor % math.prod(divisors):
+            raise RuntimeError("elementary divisor certificate failed: "
+                               f"factors {factors} do not fit the minor {minor}")
+        return divisors
 
     def factors_mod(self, modulus: int) -> tuple[int, ...]:
         """Invariant factors of coker(d) / modulus coker(d) from a diagonal form mod
@@ -951,6 +954,8 @@ def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     records of d_n and d_{n-1} give them, each from one Bareiss pass and a
     diagonal form modulo its minor N, with no unimodular transform carried.
     """
+    if type(n) is not int:
+        raise TypeError(f"degree must be int, got {type(n).__name__}")
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")
     ranks, records = complex_.reduced()

@@ -80,16 +80,9 @@ def _merge_monomials(m1: tuple, m2: tuple):
     """
     if set(m1) & set(m2):
         return (), 0
-    combined = list(m1 + m2)
-    sign, swapped = 1, True
-    while swapped:
-        swapped = False
-        for i in range(len(combined) - 1):
-            if combined[i] > combined[i + 1]:
-                combined[i], combined[i + 1] = combined[i + 1], combined[i]
-                sign = -sign
-                swapped = True
-    return tuple(combined), sign
+    # sorting swaps exactly the pairs a in m1, b in m2 with a > b
+    swaps = sum(a > b for a in m1 for b in m2)
+    return tuple(sorted(m1 + m2)), -1 if swaps % 2 else 1
 
 
 def wedge_all(factors) -> ExteriorElement:

@@ -77,17 +77,16 @@ class GroupModule:
     S^4 = 1 and S^2 = U^3 are certified in one place: the d o d check of
     the complex that ``amalgam.build_total_complex`` builds from the module
     (see ``amalgam._parity_blocks``).  They make S and U invertible, so no
-    determinant is taken.  Equality and hashing cover ``(s, u, base)``
-    only, so a module is the cache key of ``amalgam._module_complex``
-    whatever its ``name``, a label only.  The shape check keeps the name
-    ``__post_init__``, which ``bench/spans.py`` traces to count modules.
+    determinant is taken.  Equality and hashing cover ``(s, u, base)``,
+    so a module is the cache key of ``amalgam._module_complex``.  The shape
+    check keeps the name ``__post_init__``, which ``bench/spans.py`` traces
+    to count modules.
     """
 
-    __slots__ = ("s", "u", "base", "name")
+    __slots__ = ("s", "u", "base")
 
-    def __init__(self, s: IntegerMatrix, u: IntegerMatrix, base: int | None = None,
-                 name: str = "module"):
-        self.s, self.u, self.base, self.name = s, u, base, name
+    def __init__(self, s: IntegerMatrix, u: IntegerMatrix, base: int | None = None):
+        self.s, self.u, self.base = s, u, base
         self.__post_init__()
 
     def __post_init__(self):
@@ -106,8 +105,7 @@ class GroupModule:
         return hash((self.s, self.u, self.base))
 
     def __repr__(self):
-        return (f"GroupModule(s={self.s!r}, u={self.u!r}, base={self.base!r}, "
-                f"name={self.name!r})")
+        return f"GroupModule(s={self.s!r}, u={self.u!r}, base={self.base!r})"
 
     @property
     def rank(self) -> int:
@@ -119,13 +117,12 @@ class GroupModule:
             raise ValueError("module is already over a prime field")
         if not _is_prime(p):
             raise ValueError(f"can only reduce modulo a prime, got {p}")
-        return GroupModule(self.s.mod(p), self.u.mod(p), base=p, name=f"{self.name} mod {p}")
+        return GroupModule(self.s.mod(p), self.u.mod(p), base=p)
 
 
 @lru_cache(maxsize=None)
 def _sym_module(k: int, base: int | None) -> GroupModule:
-    module = GroupModule(sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k),
-                         name=f"sym_{k}")
+    module = GroupModule(sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k))
     return module if base is None else module.reduce(base)
 
 

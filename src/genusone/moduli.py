@@ -133,8 +133,6 @@ def mod2_consistency(n_max: int = 8) -> Mod2Report:
 
 
 class PTorsionWitness(NamedTuple):
-    prime: int
-    invariant_vector: tuple
     fixed_by_s: bool
     fixed_by_t: bool
     h1_group: FgAbelianGroup
@@ -167,4 +165,4 @@ def p_torsion_scan(q: int) -> PTorsionWitness:
         fixed.append(all((row[0] - v) % q == 0 for row, v in zip(image, vector)))
     h1 = sl2z_cohomology(k, 1)
     factor = next((d for d in h1.invariant_factors if d % q == 0), None)
-    return PTorsionWitness(q, tuple(vector), fixed[0], fixed[1], h1, factor)
+    return PTorsionWitness(fixed[0], fixed[1], h1, factor)

@@ -418,11 +418,11 @@ _ORDER_BLOCKS = {
 }
 
 
-def random_cyclic_action(rng, order: int, max_rank: int = 3) -> CyclicAction:
-    """A random integer matrix g with g^order = I and entries in [-2, 2]."""
+def random_cyclic_action(rng, order: int) -> CyclicAction:
+    """A random integer matrix g of rank 1..3 with g^order = I and entries in [-2, 2]."""
     allowed = [d for d in _ORDER_BLOCKS if order % d == 0]
     while True:
-        rank = rng.randrange(1, max_rank + 1)
+        rank = rng.randrange(1, 4)
         blocks = []
         size = 0
         while size < rank:

@@ -81,9 +81,8 @@ def build_canonical_torsor() -> TorsorConfiguration:
 
     # a section picks one class over each target; the complementary picks
     # form the partner section, and the unordered pair is a torsor element
-    raw, elements = 0, set()
-    for bits in range(2 ** len(fibers)):
-        raw += 1
+    raw, elements = 2 ** len(fibers), set()
+    for bits in range(raw):
         part = frozenset(f[(bits >> i) & 1] for i, f in enumerate(fibers))
         complement = frozenset(classes) - part
         if classes[0] not in part:
@@ -134,7 +133,6 @@ def cycle_lengths(perm: dict) -> tuple:
 
 
 class TorsorWitness(NamedTuple):
-    generator: tuple
     permutation: dict
     cycles: tuple
 
@@ -151,9 +149,8 @@ class TorsorWitness(NamedTuple):
 
 def torsor_nontriviality_witness(config: TorsorConfiguration) -> TorsorWitness:
     """The permutation of the torsor ``config`` by T = ((1, 1), (0, 1)), with its cycles."""
-    generator = ((1, 1), (0, 1))
-    perm = torsor_matrix_action(generator, config)
-    return TorsorWitness(generator, perm, cycle_lengths(perm))
+    perm = torsor_matrix_action(((1, 1), (0, 1)), config)
+    return TorsorWitness(perm, cycle_lengths(perm))
 
 
 def _mat_mul(x: tuple, y: tuple, p: int) -> tuple:
@@ -167,19 +164,18 @@ class FiniteGroupData:
     """A finite group as a full multiplication table, acting on F_p^d.
 
     ``table[i][j]`` is the index of element i times element j; ``action``
-    gives one d x d matrix mod p per element.  Construction validates the
-    table (identity and inverses in full, associativity on seeded random
-    triples) and the action (homomorphism on seeded random pairs).  Every
-    shape and index is checked before it is read, so bad input raises
-    ValueError, never IndexError.
+    gives one d x d matrix mod p per element.  The identity is the element
+    whose row is range(n), and its column must be range(n) too.
+    Construction validates the table (identity and inverses in full,
+    associativity on seeded random triples) and the action (homomorphism on
+    seeded random pairs).  Every shape and index is checked before it is
+    read, so bad input raises ValueError, never IndexError.
     """
 
-    __slots__ = ("elements", "table", "action", "p", "identity")
+    __slots__ = ("elements", "table", "action", "p")
 
-    def __init__(self, elements: tuple, table: tuple, action: tuple, p: int,
-                 identity: int = 0):
-        self.elements, self.table, self.action = elements, table, action
-        self.p, self.identity = p, identity
+    def __init__(self, elements: tuple, table: tuple, action: tuple, p: int):
+        self.elements, self.table, self.action, self.p = elements, table, action, p
         n = len(self.elements)
         if not _is_prime(self.p):
             raise ValueError("the coefficient field needs a prime p")
@@ -187,11 +183,9 @@ class FiniteGroupData:
             raise ValueError("a finite group needs at least one element")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("multiplication table has the wrong shape")
-        e = self.identity
-        if not 0 <= e < n:
-            raise ValueError(f"identity index {e} is outside range({n})")
-        if any(self.table[e][j] != j or self.table[j][e] != j for j in range(n)):
-            raise ValueError("the designated identity does not act as one")
+        e = next((i for i, row in enumerate(self.table) if tuple(row) == tuple(range(n))), None)
+        if e is None or any(self.table[j][e] != j for j in range(n)):
+            raise ValueError("no element acts as the identity")
         for i in range(n):
             if sorted(self.table[i]) != list(range(n)):
                 raise ValueError("rows must be permutations (no inverses otherwise)")
@@ -240,8 +234,7 @@ def gl2_z4_group() -> FiniteGroupData:
               for (e, f), (g, h) in mats)
         for (a, b), (c, d) in mats)
     action = tuple(tuple(tuple(v % 2 for v in row) for row in m) for m in mats)
-    return FiniteGroupData(tuple(mats), table, action, 2,
-                           identity=mats.index(((1, 0), (0, 1))))
+    return FiniteGroupData(tuple(mats), table, action, 2)
 
 
 def cyclic_group_data(order: int, matrix, p: int) -> FiniteGroupData:

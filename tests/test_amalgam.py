@@ -17,7 +17,7 @@ from genusone.oracles import sparse_diagonal
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 Z = FgAbelianGroup(1)
-TRIVIAL = GroupModule(IntegerMatrix([[1]]), IntegerMatrix([[1]]), name="trivial_Z")
+TRIVIAL = GroupModule(IntegerMatrix([[1]]), IntegerMatrix([[1]]))
 ZERO = FgAbelianGroup(0)
 
 
@@ -119,7 +119,7 @@ def test_folded_degrees_match_explicit_complexes(modulus):
             assert sl2z_cohomology(k, p, modulus=modulus) == explicit, (k, p)
 
 
-def test_bad_inversion_is_rejected_before_computing():
+def test_bad_arguments_are_rejected_before_computing():
     # every argument is checked before Sym^k is built or a complex looked up
     from genusone.group_modules import _sym_module
 
@@ -128,10 +128,10 @@ def test_bad_inversion_is_rejected_before_computing():
         return sym.hits + sym.misses, _module_complex.cache_info().misses
 
     before = calls()
-    with pytest.raises(ValueError, match="can only invert"):
-        sl2z_cohomology(30, 2, invert=(1,))
     with pytest.raises(ValueError, match="must be non-negative"):
         sl2z_cohomology(10**6, -1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        sl2z_cohomology(-1, 0)
     with pytest.raises(ValueError, match="modulus must be a prime"):
         sl2z_cohomology(10**6, 1, modulus=4)
     assert calls() == before
@@ -152,16 +152,9 @@ def test_mod_p_values():
 
 
 def test_inverting_two():
-    assert sl2z_cohomology(4, 1, invert=(2,)) == FgAbelianGroup(1, [3])
-    assert sl2z_cohomology(0, 2, invert=(2,)) == _t(3)
-    assert sl2z_cohomology(0, 2, invert=(2, 3)) == ZERO
-
-
-def test_field_and_inversion_are_exclusive():
-    with pytest.raises(ValueError):
-        sl2z_cohomology(1, 1, modulus=2, invert=(3,))
-    with pytest.raises(ValueError):
-        sl2z_cohomology(-1, 0)
+    assert localize(sl2z_cohomology(4, 1), (2,)) == FgAbelianGroup(1, [3])
+    assert localize(sl2z_cohomology(0, 2), (2,)) == _t(3)
+    assert localize(sl2z_cohomology(0, 2), (2, 3)) == ZERO
 
 
 def test_module_interface_matches_sym_path():
@@ -183,7 +176,7 @@ def _commutator_module(k):
     for shift, g in ((3, S_MATRIX), (2, U_MATRIX)):
         translation = [[int((c + shift) % 12 == d) for c in range(12)] for d in range(12)]
         actions.append(_kronecker(translation, sym_power_matrix(g, k)))
-    return GroupModule(*actions, name=f"Z[Z/12] (x) sym_{k}")
+    return GroupModule(*actions)
 
 
 def test_shapiro_through_the_commutator_subgroup(monkeypatch):
@@ -257,10 +250,10 @@ def test_transfer_bound_kills_higher_cohomology():
     for module in modules:
         full = build_total_complex(module, 4).complex
         groups = [sl2z_cohomology_module(module, p) for p in range(4)]
-        assert groups == [cohomology_at(full, p) for p in range(4)], module.name
+        assert groups == [cohomology_at(full, p) for p in range(4)], module.rank
         for group in groups[2:]:
-            assert group.free_rank == 0, module.name
-            assert all(12 % f == 0 for f in group.invariant_factors), (module.name, group)
+            assert group.free_rank == 0, module.rank
+            assert all(12 % f == 0 for f in group.invariant_factors), (module.rank, group)
 
 
 @pytest.mark.parametrize("divisor", [12, 24, 48])
@@ -305,7 +298,7 @@ def test_three_primary_pattern_matches_the_order_six_vertex_group():
         action = CyclicAction(6, sym_power_matrix(U_MATRIX, j))
         for p in range(2, 6):
             want = localize(cyclic_cohomology(action, p), (2,))
-            assert sl2z_cohomology(j, p, invert=(2,)) == want, (j, p)
+            assert localize(sl2z_cohomology(j, p), (2,)) == want, (j, p)
 
 
 def test_three_primary_pattern_after_inverting_two():
@@ -315,7 +308,7 @@ def test_three_primary_pattern_after_inverting_two():
         for p in range(2, 6):
             three = j % 6 == (0 if p % 2 == 0 else 4)
             want = _t(3) if three else ZERO
-            assert sl2z_cohomology(j, p, invert=(2,)) == want, (j, p)
+            assert localize(sl2z_cohomology(j, p), (2,)) == want, (j, p)
 
 
 def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
@@ -372,7 +365,7 @@ def test_factored_blocks_match_the_cyclic_actions():
                for k in range(13) for base in (None, 2, 3)]
     modules += [TRIVIAL, standard_coefficient_module("f2_squared")]
     for module in modules:
-        assert _parity_blocks(module) == _cyclic_blocks(module), module.name
+        assert _parity_blocks(module) == _cyclic_blocks(module), (module.rank, module.base)
 
 
 @pytest.mark.parametrize("base", [None, 3])
@@ -435,7 +428,7 @@ def test_module_route_builds_one_degree_three_complex(monkeypatch):
     original = amalgam.build_total_complex
 
     def spy(module, top_degree):
-        built.append((module.name, top_degree))
+        built.append((module, top_degree))
         return original(module, top_degree)
 
     monkeypatch.setattr(amalgam, "build_total_complex", spy)
@@ -448,8 +441,8 @@ def test_module_route_builds_one_degree_three_complex(monkeypatch):
         for module in modules:
             for p in range(10):
                 explicit = cohomology_at(original(module, p + 2).complex, p)
-                assert sl2z_cohomology_module(module, p) == explicit, (module.name, p)
-        assert built == [(module.name, 3) for module in modules]
+                assert sl2z_cohomology_module(module, p) == explicit, (module.rank, p)
+        assert built == [(module, 3) for module in modules]
         for modulus in (None, 2):
             for p in range(10):
                 sl2z_cohomology(3, p, modulus=modulus)
@@ -457,7 +450,8 @@ def test_module_route_builds_one_degree_three_complex(monkeypatch):
         sl2z_cohomology(9, 4)
     finally:
         _module_complex.cache_clear()
-    assert built == [(module.name, 3) for module in modules] + [("sym_9", 3)]
+    sym_9 = standard_coefficient_module("sym_k", 9)
+    assert built == [(module, 3) for module in modules] + [(sym_9, 3)]
 
 
 def test_engine_matches_the_benchmark_answer_key():

@@ -71,6 +71,25 @@ def test_sl2z_rejects_a_composite_without_small_factors(capsys, flag):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_sl2z_rejects_a_bad_inversion_before_computing(capsys):
+    # --invert is checked before Sym^k is built or a complex looked up
+    from genusone.amalgam import _module_complex
+    from genusone.group_modules import _sym_module
+
+    def calls():
+        sym = _sym_module.cache_info()
+        return sym.hits + sym.misses, _module_complex.cache_info().misses
+
+    before = calls()
+    code, out, err = run(capsys, "sl2z", "--k", "30", "--p", "2", "--invert", "1")
+    assert code == 2 and out == "" and err == "error: can only invert integers >= 2\n"
+    assert calls() == before
+    # a prime field and inverted primes are exclusive at the parser
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sl2z", "--k", "1", "--p", "1", "--mod", "2", "--invert", "3"])
+    assert exit_info.value.code == 2 and "not allowed" in capsys.readouterr().err
+
+
 def test_sl2z_invert_normalises_to_primes(capsys):
     code, out, _ = run(capsys, "sl2z", "--k", "4", "--p", "1", "--invert", "4")
     assert code == 0 and out.strip() == "Z[1/2] + Z/3"

@@ -245,6 +245,12 @@ def test_direct_sum_and_localize():
         localize(g, [4, 1])
     assert inverted_primes([4, 6, 3]) == (2, 3)
     assert inverted_primes([]) == ()
+    # a float or a bool is not an int to invert, even when it is integral
+    for bad in ([6.0], [2.5], [True], [2, 3.0]):
+        with pytest.raises(TypeError, match="can only invert ints"):
+            inverted_primes(bad)
+        with pytest.raises(TypeError, match="can only invert ints"):
+            localize(g, bad)
 
 
 def test_mod_p_dims():
@@ -270,6 +276,10 @@ def test_complex_rejects_nonzero_composite():
     with pytest.raises(ValueError):
         CochainComplex([1, 1, 1],
                        [IntegerMatrix([[2]]), IntegerMatrix([[3]])])
+    # a rank that is not an int is refused, not rounded into a complex
+    for ranks in ([1.7, True], [1.0, 1], [1, True]):
+        with pytest.raises(TypeError, match="ranks must be int"):
+            CochainComplex(ranks, [IntegerMatrix([[2]])])
 
 
 def _with_one_more(matrix, i, j):
@@ -427,6 +437,9 @@ def test_cohomology_rejects_out_of_range_degree():
         cohomology_at(cpx, 5)
     with pytest.raises(ValueError):
         cohomology_at(cpx, -1)
+    for degree in (True, 1.0):
+        with pytest.raises(TypeError, match="degree must be int"):
+            cohomology_at(cpx, degree)
 
 
 def test_mod_p_complex():
@@ -554,10 +567,20 @@ def test_records_compute_each_invariant_once(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(exact_linalg, "bareiss_rank", spy)
+    # divisors are derived on each read, from the cached diagonal form
+    moduli = []
+    original_diagonal = exact_linalg._diagonal_mod
+
+    def diagonal_spy(a, modulus):
+        moduli.append(modulus)
+        return original_diagonal(a, modulus)
+
+    monkeypatch.setattr(exact_linalg, "_diagonal_mod", diagonal_spy)
     d0 = IntegerMatrix([[2, 3], [2, 3], [0, 0]])
     d1 = IntegerMatrix([[3, -3, 2], [2, -2, 3]])
     cpx = CochainComplex([2, 3, 2], [d0, d1])
     groups = [cohomology_at(cpx, n) for n in (0, 1, 2, 0, 1, 2)]
     assert groups[:3] == groups[3:]
     assert calls == [(3, 2), (2, 3)]
+    assert len(set(moduli)) == len(moduli) == 2
     assert cpx.reduced() is cpx.reduced()

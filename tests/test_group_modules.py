@@ -45,9 +45,9 @@ def test_generator_validation():
 
 
 def test_modules_are_equal_and_hash_alike_by_their_actions():
-    # the name is a label: it takes no part in equality or hashing
-    first = GroupModule(S_MATRIX, U_MATRIX, name="first")
-    second = GroupModule(IntegerMatrix(S_MATRIX.to_lists()), U_MATRIX, name="second")
+    # equal matrices built apart make one module, and one cache key
+    first = GroupModule(S_MATRIX, U_MATRIX)
+    second = GroupModule(IntegerMatrix(S_MATRIX.to_lists()), U_MATRIX)
     assert first == second and hash(first) == hash(second)
     assert len({first, second, standard_coefficient_module("sym_k", 1)}) == 1
     assert first != first.reduce(2)
@@ -164,9 +164,10 @@ def test_sym_module_over_a_prime_field_is_the_reduction():
         for p in (2, 3, 5):
             direct = standard_coefficient_module("sym_k", k, base=p)
             reduced = standard_coefficient_module("sym_k", k).reduce(p)
-            assert direct == reduced
-            assert direct.name == reduced.name == f"sym_{k} mod {p}"
-    assert standard_coefficient_module("f2_squared").name == "sym_1 mod 2"
+            assert direct == reduced and direct.base == p
+    f2_squared = standard_coefficient_module("f2_squared")
+    assert f2_squared == standard_coefficient_module("sym_k", 1).reduce(2)
+    assert f2_squared.rank == 2 and f2_squared.base == 2
     with pytest.raises(ValueError, match="can only reduce modulo a prime"):
         standard_coefficient_module("sym_k", 2, base=4)
     with pytest.raises(ValueError, match="takes no base"):

@@ -83,6 +83,58 @@ def test_the_dead_name_check_sees_an_unused_name():
     assert _dead_names({"m": source}, [source, "helper()"]) == ["m.DEAD", "m.Gone", "m.LONE"]
 
 
+def _record_fields(tree: ast.Module):
+    # (class, field) for each NamedTuple field and each __slots__ entry
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        named_tuple = any(ast.unparse(base) in ("NamedTuple", "typing.NamedTuple")
+                          for base in node.bases)
+        for item in node.body:
+            if named_tuple and isinstance(item, ast.AnnAssign):
+                yield node.name, item.target.id
+            elif (isinstance(item, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)):
+                yield from ((node.name, field) for field in ast.literal_eval(item.value))
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    # the attributes a module reads, and the names it binds by tuple unpacking
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store):
+            read.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return read
+
+
+def _unread_fields(modules: dict[str, str], texts: list[str]) -> list[str]:
+    read = set().union(*(_read_names(ast.parse(text)) for text in texts))
+    return sorted(f"{cls}.{field}" for source in modules.values()
+                  for cls, field in _record_fields(ast.parse(source)) if field not in read)
+
+
+def test_every_record_field_is_read():
+    # a record field in src/genusone/ that no file under src/ or bench/, nor
+    # tests/test_acceptance.py, reads as an attribute or binds by tuple
+    # unpacking (as ``ranks, records = complex_.reduced()`` does) is stored
+    # for nothing.  Fields are matched by name alone, so a field passes when
+    # other code reads an attribute that happens to share its name, such as
+    # ``name`` or ``generator`` of an unrelated class
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    texts = [path.read_text(encoding="utf-8") for path in CORPUS]
+    assert _unread_fields(modules, texts) == []
+
+
+def test_the_field_check_sees_an_unread_field():
+    source = ("from typing import NamedTuple\n"
+              "class Pair(NamedTuple):\n    left: int\n    right: int\n    gone: int\n"
+              "class Slots:\n    __slots__ = ('kept', 'lost')\n")
+    reader = "a, right = pair\nprint(pair.left, slots.kept)\nslots.lost = 1\n"
+    assert _unread_fields({"m": source}, [source, reader]) == ["Pair.gone", "Slots.lost"]
+
+
 #: modules that ``dataclasses`` pulls in; none is needed to run the CLI
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
 

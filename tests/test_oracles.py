@@ -482,7 +482,9 @@ def test_normalized_bar_matches_unnormalized(order):
     # full standard complex, with its m^n r coordinates, gives the same H^n
     rng = random.Random(23 + order)
     for _ in range(3):
-        act = random_cyclic_action(rng, order, max_rank=2)
+        act = random_cyclic_action(rng, order)
+        while act.rank > 2:  # keeps the unnormalized bar small
+            act = random_cyclic_action(rng, order)
         powers = [act.power(i) for i in range(order)]
         full = []
         rank_in, torsion_in = 0, []

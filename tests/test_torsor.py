@@ -56,7 +56,6 @@ def test_translation_rejects_bad_input():
 
 def test_shear_acts_by_a_four_cycle():
     witness = torsor_nontriviality_witness(build_canonical_torsor())
-    assert witness.generator == ((1, 1), (0, 1))
     assert witness.cycles == (4,)
     assert witness.fixed_point_free
     assert witness.passed
@@ -142,7 +141,8 @@ def test_gl2_z4_table_is_the_matrix_product():
             product = tuple(tuple(sum(x[r][m] * y[m][c] for m in range(2)) % 4
                                   for c in range(2)) for r in range(2))
             assert mats[group.table[i][j]] == product
-    assert mats[group.identity] == ((1, 0), (0, 1))
+    e = mats.index(((1, 0), (0, 1)))
+    assert group.table[e] == tuple(range(group.order))
 
 
 def _transpose_bits(rows, width):
@@ -220,21 +220,23 @@ def test_finite_group_data_validation():
     # composite coefficient modulus
     with pytest.raises(ValueError):
         FiniteGroupData(elements, good_table, action, 4)
-    # an empty group, an empty action, an identity outside range(n) and
-    # action matrices that are not all d x d are rejected before anything
-    # is indexed
+    # an empty group, an empty action, a table whose rows or columns have
+    # no identity and action matrices that are not all d x d are rejected
+    # before anything is indexed
     eye3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for args, message in [(((), (), (), 2), "at least one element"),
                           (((0,), ((0,),), (), 2), "one action matrix per element"),
                           ((elements, good_table, (eye, eye3), 2), "must be 2 x 2"),
                           ((elements, good_table, (eye, ((1,), (0, 1))), 2), "must be 2 x 2"),
-                          (((0,), ((0,),), (eye,), 2, 5), "outside range"),
-                          (((0,), ((0,),), (eye,), 2, -3), "outside range")]:
+                          ((elements, ((1, 0), (1, 0)), action, 2), "no element acts as the identity"),
+                          ((elements, ((0, 1), (0, 1)), action, 2), "no element acts as the identity")]:
         with pytest.raises(ValueError, match=message):
             FiniteGroupData(*args)
     # and a sane instance passes
     data = FiniteGroupData(elements, good_table, (eye, flip), 2)
     assert data.order == 2
+    # the identity is found wherever it sits
+    assert FiniteGroupData(elements, ((1, 0), (0, 1)), (flip, eye), 2).order == 2
 
 
 def test_cyclic_group_data_rejects_wrong_order():
