@@ -119,8 +119,10 @@ def test_folded_degrees_match_explicit_complexes(modulus):
             assert sl2z_cohomology(k, p, modulus=modulus) == explicit, (k, p)
 
 
-def test_bad_arguments_are_rejected_before_computing():
-    # every argument is checked before Sym^k is built or a complex looked up
+def test_bad_inversion_is_rejected_before_computing():
+    # every argument is checked before Sym^k is built or a complex looked up;
+    # a caller that inverts integers factors them first, as `genusone sl2z` does
+    from genusone.exact_linalg import inverted_primes
     from genusone.group_modules import _sym_module
 
     def calls():
@@ -128,10 +130,11 @@ def test_bad_arguments_are_rejected_before_computing():
         return sym.hits + sym.misses, _module_complex.cache_info().misses
 
     before = calls()
+    with pytest.raises(ValueError, match="can only invert"):
+        primes = inverted_primes((1,))
+        localize(sl2z_cohomology(30, 2), primes)
     with pytest.raises(ValueError, match="must be non-negative"):
         sl2z_cohomology(10**6, -1)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        sl2z_cohomology(-1, 0)
     with pytest.raises(ValueError, match="modulus must be a prime"):
         sl2z_cohomology(10**6, 1, modulus=4)
     assert calls() == before
@@ -155,6 +158,14 @@ def test_inverting_two():
     assert localize(sl2z_cohomology(4, 1), (2,)) == FgAbelianGroup(1, [3])
     assert localize(sl2z_cohomology(0, 2), (2,)) == _t(3)
     assert localize(sl2z_cohomology(0, 2), (2, 3)) == ZERO
+
+
+def test_field_and_inversion_are_exclusive():
+    # the engine works over Z or one prime field; inverting is left to localize
+    with pytest.raises(TypeError):
+        sl2z_cohomology(1, 1, modulus=2, invert=(3,))
+    with pytest.raises(ValueError):
+        sl2z_cohomology(-1, 0)
 
 
 def test_module_interface_matches_sym_path():
