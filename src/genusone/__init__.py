@@ -2,10 +2,11 @@
 moduli space, computed from first principles with verification suites.
 
 The core pipeline builds a mapping-cone total complex from the periodic
-resolutions of the cyclic pieces of the amalgam decomposition, checks
-d o d = 0 once, reduces it on its unit pivots, reads each H^p from integer
-ranks and elementary divisors, and assembles the page bookkeeping for the
-moduli space on top.  Independent oracles (a truncated bar complex, a
+resolutions of the cyclic pieces of the amalgam decomposition, certifies
+d o d = 0 once by the relations S^4 = 1 and S^2 = U^3 of the coefficient
+module, reduces it on its unit pivots, reads each H^p from integer ranks
+and elementary divisors, and assembles the page bookkeeping for the moduli
+space on top.  Independent oracles (a truncated bar complex, a
 brute-force cocycle solver, sparse and determinantal elementary-divisor
 routines) cross-check every layer.
 """

@@ -18,16 +18,15 @@ cohomology of this single complex avoids the extension ambiguities a long
 exact sequence would leave behind; in particular the Z/4 inside
 H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
-The blocks come straight from S and U, with -I acting as c = S^2; the
-d o d check of the unreduced complex certifies the relations that make
-them the cyclic groups' blocks (``_parity_blocks``).  It is the only
-check of those relations: a ``GroupModule`` checks just the shapes of S
-and U.
+The blocks come straight from S and U, with -I acting as c = S^2.
+``_parity_blocks`` checks the relations S^4 = 1 and S^2 = U^3 that make
+them the cyclic groups' blocks, by two r x r products.  It is the only
+check of those relations (a ``GroupModule`` checks just the shapes of S
+and U), and it is exactly the d o d = 0 of the complex, which is
+therefore stored without the row-by-row check of ``CochainComplex``.
 Each block of D_n depends only on the parity of n once n >= 1, so
-D_n = D_{n+2} for n >= 1.  Each module gets one complex, in degrees 0..3,
-validated once: the checks of D_1 o D_0 and D_2 o D_1 certify the
-relations, which force D_1 o D_2 = 0, so D_3 = D_1 needs no check.  As
-C^3 = C^1, H^3 = ker D_1 / im D_2 has the free rank of H^2 and the
+D_n = D_{n+2} for n >= 1.  Each module gets one complex, in degrees 0..3.
+As C^3 = C^1, H^3 = ker D_1 / im D_2 has the free rank of H^2 and the
 torsion of coker D_2, and H^p for p >= 4 is H^{2 + p % 2}.
 
 Over Z the transfer bounds H^2 and H^3.  The commutator subgroup of
@@ -67,18 +66,30 @@ class AmalgamComplex(NamedTuple):
 
 
 def _parity_blocks(module: GroupModule):
-    """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B).
+    """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B),
+    after checking that the module satisfies the relations of SL2(Z).
 
     With c = S^2, the action of -I, (dA, dB, dC, r_A, r_B) is
     (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
-    (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Nothing is
-    checked here: D_1 o D_0 has S^2 - U^3 in its C row and
-    (1 + S^2)(S^2 - 1) = S^4 - 1 in its A row, so the d o d check of the
-    unreduced complex passes only if the presentation
-    <S, U | S^4 = 1, S^2 = U^3> of SL2(Z) holds.  Then every block is that
-    of ``cyclic.CyclicAction`` or ``restriction_cochain_matrix`` for <S>,
-    <U> and <c>: the norms are 1 + S + S^2 + S^3 and 1 + U + ... + U^5.
-    Over F_p every block is reduced, as built.
+    (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Over F_p
+    every block is reduced, as built, and the algebra below holds in
+    M_r(F_p) as it does in M_r(Z).
+
+    The relation check is the d o d = 0 of the whole complex.  The nonzero
+    blocks of D_1 o D_0 are c^2 - 1 (row A), (1 + c)(U^3 - 1) (row B) and
+    c - U^3 (row C, column B); its block in row C, column A is S^2 - c,
+    which is 0 by the definition of c.  So D_1 o D_0 = 0 exactly when
+    S^4 = c^2 = 1 and U^3 = c, the presentation <S, U | S^4 = 1, S^2 = U^3>
+    of SL2(Z) (Serre, *Trees*, I.4).  Given them, U commutes with c = U^3,
+    and every block of D_2 o D_1 and of D_1 o D_2 is c^2 - 1,
+    (1 + c)(U^3 - 1) = c^2 - 1, c - U^3 or identically 0, so each vanishes.
+    As D_n = D_{n+2} for n >= 1, d o d = 0 in every degree.  The two
+    relations cost the products c c and U (U U), where the row-by-row check
+    multiplies D_1 by D_0 and D_2 by D_1 out.  A module that fails either
+    raises the ValueError that check would, naming the relation.  Then
+    every block is that of ``cyclic.CyclicAction`` or
+    ``restriction_cochain_matrix`` for <S>, <U> and <c>: the norms are
+    1 + S + S^2 + S^3 and 1 + U + ... + U^5.
     """
     base = module.base
 
@@ -86,10 +97,17 @@ def _parity_blocks(module: GroupModule):
         return m if base is None else m.mod(base)
 
     s, u = module.s, module.u
-    c = s * s
+    c = reduced(s * s)
+    u_u = reduced(u * u)
+    broken = [relation for relation, holds in (("S^4 = 1", reduced(c * c).is_identity()),
+                                               ("U^3 = S^2", reduced(u * u_u) == c))
+              if not holds]
+    if broken:
+        raise ValueError("d1 o d0 is not zero; not a complex: the module fails "
+                         + " and ".join(broken))
     eye = IntegerMatrix.identity(module.rank)
     res_a = reduced(eye + s)
-    res_b = reduced(eye + u + u * u)
+    res_b = reduced(eye + u + u_u)
     norm_c = reduced(eye + c)
     return [(reduced(s - eye), reduced(u - eye), reduced(-norm_c), eye, reduced(-eye)),
             (reduced(norm_c * res_a), reduced(norm_c * res_b), reduced(eye - c),
@@ -99,9 +117,11 @@ def _parity_blocks(module: GroupModule):
 def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     """Assemble the mapping-cone complex in degrees 0..top_degree.
 
-    top_degree must be at least 2: the check of D_1 o D_0 certifies the
-    module's relations, and nothing else does (see ``_parity_blocks``).
-    H^p needs degrees up to p + 1.
+    top_degree must be at least 2, so that the relations that
+    ``_parity_blocks`` checks are exactly d o d = 0 of the complex built;
+    a complex without D_1 would not need them.  That check certifies the
+    complex, which is therefore stored unchecked.  H^p needs degrees up to
+    p + 1.
     """
     if top_degree < 2:
         raise ValueError("top_degree must be at least 2")
@@ -121,13 +141,13 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
                     [res_a, neg_res_b, neg_dc]]
         return IntegerMatrix.from_blocks(grid)
 
-    ranks = [2 * r] + [3 * r] * top_degree
+    ranks = (2 * r,) + (3 * r,) * top_degree
     # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p it is
     # built reduced, so the complex keeps it as it is and it stays shared
     diffs = []
     for n in range(top_degree):
         diffs.append(differential(n) if n < 3 else diffs[n - 2])
-    return AmalgamComplex(CochainComplex(ranks, diffs, base=module.base))
+    return AmalgamComplex(CochainComplex._stored(ranks, tuple(diffs), module.base))
 
 
 TRANSFER_MODULUS = 24
@@ -135,8 +155,7 @@ TRANSFER_MODULUS = 24
 
 def transfer_cohomology(complex_: CochainComplex, p: int) -> FgAbelianGroup:
     """H^p(SL2(Z), M) from the degree-3 amalgam complex of M (module docstring)."""
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_degree(p)
     if len(complex_.ranks) != 4:
         raise ValueError(f"need the degree-3 complex, not degree {len(complex_.ranks) - 1}")
     if complex_.base is not None or p == 0:
@@ -170,6 +189,10 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None) -> FgAbelianGrou
     >>> str(sl2z_cohomology(28, 2))
     'Z/2 + Z/2 + Z/2 + Z/2 + Z/4'
     """
+    _require_int("k", k)
+    _require_int("p", p)
+    if modulus is not None:
+        _require_int("modulus", modulus)
     if k < 0 or p < 0:
         raise ValueError("k and p must be non-negative")
     if modulus is not None and not _is_prime(modulus):
@@ -179,6 +202,17 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None) -> FgAbelianGrou
 
 def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
     """H^p(SL2(Z), M) from M's degree-3 complex, built (checking M) once per M."""
+    _check_degree(p)
+    return transfer_cohomology(_module_complex(module), p)
+
+
+def _require_int(name: str, x) -> None:
+    # a float or a bool would reach the caches and the engine as an int
+    if type(x) is not int:
+        raise TypeError(f"{name} must be int, got {type(x).__name__}")
+
+
+def _check_degree(p: int) -> None:
+    _require_int("p", p)
     if p < 0:
         raise ValueError("p must be non-negative")
-    return transfer_cohomology(_module_complex(module), p)

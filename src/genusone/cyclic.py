@@ -94,14 +94,16 @@ def periodic_complex(action: CyclicAction, top_degree: int) -> CochainComplex:
 
     Even-degree differentials are g - 1, odd-degree ones are the norm.
     For the trivial group (m = 1) the norm is the identity, which gives the
-    correct cohomology M, 0, 0, ...
+    correct cohomology M, 0, 0, ...  Both composites (g - 1)N and N(g - 1)
+    are g^m - 1, which ``CyclicAction`` has checked to vanish, so the
+    complex is stored without the d o d check of ``CochainComplex``.
     """
     if top_degree < 0:
         raise ValueError("top_degree must be non-negative")
     delta = action.coboundary()
     norm = action.norm()
-    diffs = [delta if n % 2 == 0 else norm for n in range(top_degree)]
-    return CochainComplex([action.rank] * (top_degree + 1), diffs, base=action.base)
+    diffs = tuple(delta if n % 2 == 0 else norm for n in range(top_degree))
+    return CochainComplex._stored((action.rank,) * (top_degree + 1), diffs, action.base)
 
 
 def cyclic_cohomology(action: CyclicAction, n: int) -> FgAbelianGroup:

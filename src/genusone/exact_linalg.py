@@ -483,12 +483,7 @@ def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
     m = [row for row in m if any(row)]
     pivots = []
     while m:
-        best = None
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        _, i, j = best
+        i, j = _least_entry(m)
         prow = m.pop(i)
         for row in m + [prow]:
             row[0], row[j] = row[j], row[0]
@@ -521,6 +516,20 @@ def _diagonal_mod(a: IntegerMatrix, modulus: int) -> list[int]:
         pivots.append(prow[0])
         m = [row[1:] for row in m if any(row[1:])]
     return pivots
+
+
+def _least_entry(m: list[list[int]]) -> tuple[int, int]:
+    """Position (i, j) of the first least nonzero entry of nonzero rows ``m``,
+    in row-major order.  No nonzero residue is below 1, so the scan stops at
+    the first 1."""
+    best, at = None, None
+    for i, row in enumerate(m):
+        x = min(filter(None, row))
+        if best is None or x < best:
+            best, at = x, (i, row.index(x))
+            if x == 1:
+                break
+    return at
 
 
 def fp_rank(rows: Iterable[Iterable[int]], p: int) -> int:
@@ -689,7 +698,11 @@ class CochainComplex:
     ``ranks[n]`` is the rank of the degree-n term; ``differentials[n]`` maps
     degree n to degree n+1 and therefore has shape ranks[n+1] x ranks[n].
     The complex is zero outside the stored range.  d(n+1) o d(n) == 0 is
-    checked at construction and construction fails otherwise.
+    checked at construction and construction fails otherwise.  ``_stored``
+    builds a complex without the check, for a builder that has certified
+    d o d = 0 itself, more cheaply: ``amalgam.build_total_complex`` by the
+    relations of SL2(Z) (``amalgam._parity_blocks``) and
+    ``cyclic.periodic_complex`` by g^m = 1 (``cyclic.CyclicAction``).
 
     The check forms each row of d(n+1) o d(n) as the sum of a * (row j of
     d(n)) over the nonzero entries a = d(n+1)[i][j], in exact integer
@@ -737,6 +750,14 @@ class CochainComplex:
         self.differentials = diffs
         self.base = base
         self._reduced = None
+
+    @classmethod
+    def _stored(cls, ranks: tuple, differentials: tuple, base: int | None) -> "CochainComplex":
+        """A complex whose builder has certified d o d = 0, unchecked; over
+        F_p its differentials are given reduced."""
+        c = object.__new__(cls)
+        c.ranks, c.differentials, c.base, c._reduced = ranks, differentials, base, None
+        return c
 
     def differential(self, n: int) -> IntegerMatrix:
         """d_n, zero-extended outside the stored range."""
@@ -844,9 +865,13 @@ def _reduce_on_units(ranks: tuple[int, ...], differentials: tuple[IntegerMatrix,
 
     The inclusion of C' and the projection onto it are inverse chain
     homotopy equivalences, so H(C') = H(C), over Z and equally over F_p.
-    The last step is why d o d is checked before reducing: if d_n d_{n-1}
-    were nonzero, c would be the defect, and dropping row j discards it, so
-    the reduced complex can satisfy d o d = 0 where the original does not.
+    The last step is why d o d = 0 must be certified before reducing: if
+    d_n d_{n-1} were nonzero, c would be the defect, and dropping row j
+    discards it, so the reduced complex can satisfy d o d = 0 where the
+    original does not.  The public ``CochainComplex`` constructor checks it
+    on the unreduced differentials; a ``CochainComplex._stored`` complex has
+    it from its builder, by the relations S^4 = 1 and S^2 = U^3
+    (``amalgam._parity_blocks``) or g^m = 1 (``cyclic.CyclicAction``).
 
     Pivots are taken within each d_n, n ascending (``_cancel_units``).
     Cancelling in d_n only deletes entries of d_{n-1} and d_{n+1}, so no

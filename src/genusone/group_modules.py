@@ -12,9 +12,10 @@ T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 
 A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
 as S^2 and the rank is the size of S.  Construction checks only shapes:
-the relations are certified once, by the d o d check of the amalgam
-complex built from the module.  The k-th symmetric power of the
-standard rank-2 module uses the monomial basis
+the relations are certified once, when the amalgam complex is built from
+the module (``amalgam._parity_blocks``), by the two products S^2 S^2 and
+U (U U), which is exactly that complex's d o d = 0.  The k-th symmetric
+power of the standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
 
@@ -74,13 +75,13 @@ class GroupModule:
 
     S and U are square matrices of one size, the module's ``rank``; -I
     acts as S^2.  Construction checks only this form.  The relations
-    S^4 = 1 and S^2 = U^3 are certified in one place: the d o d check of
-    the complex that ``amalgam.build_total_complex`` builds from the module
-    (see ``amalgam._parity_blocks``).  They make S and U invertible, so no
-    determinant is taken.  Equality and hashing cover ``(s, u, base)``,
-    so a module is the cache key of ``amalgam._module_complex``.  The shape
-    check keeps the name ``__post_init__``, which ``bench/spans.py`` traces
-    to count modules.
+    S^4 = 1 and S^2 = U^3 are certified in one place, by two products when
+    ``amalgam.build_total_complex`` builds the module's complex; they are
+    exactly its d o d = 0 (see ``amalgam._parity_blocks``).  They make S
+    and U invertible, so no determinant is taken.  Equality and hashing
+    cover ``(s, u, base)``, so a module is the cache key of
+    ``amalgam._module_complex``.  The shape check keeps the name
+    ``__post_init__``, which ``bench/spans.py`` traces to count modules.
     """
 
     __slots__ = ("s", "u", "base")

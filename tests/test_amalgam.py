@@ -7,7 +7,8 @@ import genusone.amalgam as amalgam
 from genusone.amalgam import (TRANSFER_MODULUS, _module_complex, _parity_blocks,
                               build_total_complex, sl2z_cohomology, sl2z_cohomology_module,
                               transfer_cohomology)
-from genusone.cyclic import CyclicAction, cyclic_cohomology, restriction_cochain_matrix
+from genusone.cyclic import (CyclicAction, cyclic_cohomology, periodic_complex,
+                             restriction_cochain_matrix)
 from genusone.exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, cohomology_at,
                                    localize)
 from genusone.group_modules import (S_MATRIX, T_MATRIX, U_MATRIX, GroupModule, standard_coefficient_module,
@@ -138,6 +139,33 @@ def test_bad_inversion_is_rejected_before_computing():
     with pytest.raises(ValueError, match="modulus must be a prime"):
         sl2z_cohomology(10**6, 1, modulus=4)
     assert calls() == before
+
+
+def test_non_int_arguments_are_rejected_before_any_cache():
+    # a float or a bool compared and hashed like an int, so (3, 1.0) read
+    # H^1, (2.0, 1) and (True, 1) read cached Sym^2 and Sym^1, and (3, 2.5)
+    # and (3, 1, 2.0) failed inside the engine; each is now a TypeError
+    # raised before Sym^k is built or a complex looked up
+    from genusone.group_modules import _sym_module
+
+    def calls():
+        sym, cpx = _sym_module.cache_info(), _module_complex.cache_info()
+        return sym.hits + sym.misses, cpx.hits + cpx.misses
+
+    before = calls()
+    for args, name in [((3, 1.0), "p"), ((2.0, 1), "k"), ((True, 1), "k"), ((3, 2.5), "p"),
+                       ((3, 1, 2.0), "modulus")]:
+        with pytest.raises(TypeError, match=f"^{name} must be int, got "):
+            sl2z_cohomology(*args)
+        assert calls() == before, args
+    module = standard_coefficient_module("sym_k", 3)
+    before = calls()
+    for p in (1.0, True):
+        with pytest.raises(TypeError, match="^p must be int"):
+            sl2z_cohomology_module(module, p)
+    assert calls() == before
+    with pytest.raises(TypeError, match="^p must be int"):
+        transfer_cohomology(_module_complex(module), 1.0)
 
 
 def test_mod_p_values():
@@ -385,8 +413,8 @@ def test_factored_blocks_match_the_cyclic_actions():
     (S_MATRIX, T_MATRIX),   # U^3 = T^3 != -I = S^2
 ])
 def test_relations_that_fail_only_in_the_complex_are_rejected(base, s, u):
-    # the module checks only shapes; the relations are left to the d o d
-    # check of the complex
+    # the module checks only shapes; the relations are left to the build
+    # of the complex
     module = GroupModule(s, u, base=base)
     for top in (2, 3, 4):
         with pytest.raises(ValueError, match="not a complex"):
@@ -411,6 +439,85 @@ def test_a_central_element_of_infinite_order_is_rejected(s, u, base):
     for top in (2, 3, 4):
         with pytest.raises(ValueError, match="d1 o d0 is not zero"):
             build_total_complex(module, top)
+
+
+def _unchecked_differentials(module, top):
+    # D_0..D_{top-1} of the mapping cone assembled from S and U as the
+    # module docstring gives them, assuming no relation: D(a, b, c) =
+    # (dA a, dB b, r_A(a) - r_B(b) - dC c) with the periodic blocks of
+    # <S>, <U> and <c = S^2> written out
+    s, u = module.s, module.u
+    r = module.rank
+    eye, zero = IntegerMatrix.identity(r), IntegerMatrix.zeros(r, r)
+    c = s * s
+    norm_c, res_a, res_b = eye + c, eye + s, eye + u + u * u
+    diffs = [IntegerMatrix.from_blocks([[s - eye, zero], [zero, u - eye], [eye, -eye]])]
+    for n in range(1, top):
+        if n % 2:
+            da, db, dc, ra, rb = norm_c * res_a, norm_c * res_b, c - eye, res_a, res_b
+        else:
+            da, db, dc, ra, rb = s - eye, u - eye, norm_c, eye, eye
+        diffs.append(IntegerMatrix.from_blocks([[da, zero, zero], [zero, db, zero],
+                                                [ra, -rb, -dc]]))
+    return [2 * r] + [3 * r] * top, diffs
+
+
+# the (S, U, base) of the two rejection tests above
+BAD_MODULES = [GroupModule(s, u, base=base) for s, u, base in [
+    (T_MATRIX, U_MATRIX, None), (T_MATRIX, U_MATRIX, 3),
+    (S_MATRIX, T_MATRIX, None), (S_MATRIX, T_MATRIX, 3),
+    (T_MATRIX * T_MATRIX * T_MATRIX, T_MATRIX * T_MATRIX, None),
+    (T_MATRIX, T_MATRIX * T_MATRIX * T_MATRIX * T_MATRIX, 5),
+]]
+
+
+@pytest.mark.parametrize("top", [2, 3, 4, 9])
+def test_the_relation_check_accepts_exactly_what_the_d_o_d_check_accepts(top):
+    # build_total_complex checks S^4 = 1 and U^3 = S^2 and stores the
+    # complex unchecked; the public constructor multiplies every d_{n+1} o
+    # d_n out.  The two must agree on every module, and on the matrices
+    modules = [standard_coefficient_module("sym_k", k, base=base)
+               for k in range(13) for base in (None, 2, 3)]
+    modules += [standard_coefficient_module("f2_squared"), TRIVIAL, *BAD_MODULES]
+    rejected = []
+    for module in modules:
+        ranks, diffs = _unchecked_differentials(module, top)
+        try:
+            reference = CochainComplex(ranks, diffs, base=module.base)
+        except ValueError as err:
+            assert str(err).startswith("d1 o d0 is not zero"), err
+            with pytest.raises(ValueError, match="^d1 o d0 is not zero"):
+                build_total_complex(module, top)
+            rejected.append(module)
+            continue
+        built = build_total_complex(module, top).complex
+        assert (built.ranks, built.differentials, built.base) == \
+            (reference.ranks, reference.differentials, reference.base), module
+    assert rejected == BAD_MODULES
+
+
+def test_built_complexes_skip_the_row_by_row_check(monkeypatch):
+    # the amalgam and periodic complexes are certified by their builders
+    # and stored; only a complex given as bare matrices runs the check
+    checked = []
+    original = CochainComplex.__init__
+
+    def spy(self, *args, **kwargs):
+        checked.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CochainComplex, "__init__", spy)
+    for module in (standard_coefficient_module("sym_k", 6), TRIVIAL,
+                   standard_coefficient_module("sym_k", 6, base=3)):
+        for top in (2, 3, 9):
+            assert isinstance(build_total_complex(module, top).complex, CochainComplex)
+    for action in (CyclicAction(4, S_MATRIX), CyclicAction(6, U_MATRIX, 5)):
+        for top in (0, 1, 3, 9):
+            assert isinstance(periodic_complex(action, top), CochainComplex)
+    assert checked == []
+    with pytest.raises(ValueError, match="d1 o d0 is not zero"):
+        CochainComplex([1, 1, 1], [IntegerMatrix([[1]]), IntegerMatrix([[1]])])
+    assert len(checked) == 1
 
 
 def test_sl2z_cohomology_constructs_no_cyclic_action(monkeypatch):

@@ -584,3 +584,28 @@ def test_records_compute_each_invariant_once(monkeypatch):
     assert calls == [(3, 2), (2, 3)]
     assert len(set(moduli)) == len(moduli) == 2
     assert cpx.reduced() is cpx.reduced()
+
+
+def test_pivot_scan_that_stops_at_a_one_picks_the_same_pivots(monkeypatch):
+    # the scan of the whole matrix for its first least nonzero entry, as the
+    # diagonal form ran it before stopping at the first 1
+    import genusone.exact_linalg as exact_linalg
+    from genusone.amalgam import TRANSFER_MODULUS, _module_complex
+
+    def full_scan(m):
+        best = None
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        return best[1], best[2]
+
+    reads = []
+    for k in range(41):
+        records = _module_complex(standard_coefficient_module("sym_k", k)).reduced().records
+        reads += [(record._matrix, TRANSFER_MODULUS) for record in records]
+        reads.append((records[0]._matrix, bareiss_rank(records[0]._matrix)[1]))
+    pivots = [exact_linalg._diagonal_mod(a, modulus) for a, modulus in reads]
+    monkeypatch.setattr(exact_linalg, "_least_entry", full_scan)
+    assert pivots == [exact_linalg._diagonal_mod(a, modulus) for a, modulus in reads]
+    assert sum(map(len, pivots)) > 1000

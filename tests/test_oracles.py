@@ -135,7 +135,7 @@ def test_sparse_diagonal_is_one_call_without_a_dense_fallback(monkeypatch):
 def test_oracles_share_no_engine_elimination():
     # the oracles check the engine, so they must never call its elimination
     engine = {"bareiss_rank", "_bareiss", "_reduce_on_units", "_cancel_units", "reduced",
-              "DifferentialRecord", "_diagonal_mod", "_divisors_mod_minor",
+              "DifferentialRecord", "_diagonal_mod", "_least_entry", "_divisors_mod_minor",
               "elementary_divisors", "smith_normal_form", "snf_diagonal", "fp_rank",
               "cohomology_at", "det"}
     with open(oracles.__file__, encoding="utf-8") as handle:
