@@ -55,7 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
-                           _is_prime, cohomology_at)
+                           _is_prime, _require_int, cohomology_at)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
@@ -73,7 +73,10 @@ def _parity_blocks(module: GroupModule):
     (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
     (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Over F_p
     every block is reduced, as built, and the algebra below holds in
-    M_r(F_p) as it does in M_r(Z).
+    M_r(F_p) as it does in M_r(Z).  Each X + t with X one of S, U, c, -c or
+    0, and the identity in 1 + U + U^2, is ``IntegerMatrix.add_identity``,
+    which touches one entry per row and reduces only it, as S and U of an
+    F_p module are stored reduced.
 
     The relation check is the d o d = 0 of the whole complex.  The nonzero
     blocks of D_1 o D_0 are c^2 - 1 (row A), (1 + c)(U^3 - 1) (row B) and
@@ -105,12 +108,14 @@ def _parity_blocks(module: GroupModule):
     if broken:
         raise ValueError("d1 o d0 is not zero; not a complex: the module fails "
                          + " and ".join(broken))
-    eye = IntegerMatrix.identity(module.rank)
-    res_a = reduced(eye + s)
-    res_b = reduced(eye + u + u_u)
-    norm_c = reduced(eye + c)
-    return [(reduced(s - eye), reduced(u - eye), reduced(-norm_c), eye, reduced(-eye)),
-            (reduced(norm_c * res_a), reduced(norm_c * res_b), reduced(eye - c),
+    r = module.rank
+    res_a = s.add_identity(1, base)
+    res_b = reduced(u + u_u).add_identity(1, base)
+    norm_c = c.add_identity(1, base)
+    neg_c = reduced(-c)
+    return [(s.add_identity(-1, base), u.add_identity(-1, base), neg_c.add_identity(-1, base),
+             IntegerMatrix.identity(r), IntegerMatrix.zeros(r, r).add_identity(-1, base)),
+            (reduced(norm_c * res_a), reduced(norm_c * res_b), neg_c.add_identity(1, base),
              res_a, reduced(-res_b))]
 
 
@@ -204,12 +209,6 @@ def sl2z_cohomology_module(module: GroupModule, p: int) -> FgAbelianGroup:
     """H^p(SL2(Z), M) from M's degree-3 complex, built (checking M) once per M."""
     _check_degree(p)
     return transfer_cohomology(_module_complex(module), p)
-
-
-def _require_int(name: str, x) -> None:
-    # a float or a bool would reach the caches and the engine as an int
-    if type(x) is not int:
-        raise TypeError(f"{name} must be int, got {type(x).__name__}")
 
 
 def _check_degree(p: int) -> None:

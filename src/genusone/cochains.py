@@ -28,7 +28,6 @@ import itertools
 import math
 import operator
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -43,6 +42,8 @@ class DualVector:
     __slots__ = ("coefficients", "denominator", "numerators")
 
     def __init__(self, coefficients):
+        from fractions import Fraction  # kept off the import path of the CLI
+
         coefficients = tuple(Fraction(c) for c in coefficients)
         denominator = math.lcm(*(c.denominator for c in coefficients))
         self.coefficients = coefficients
@@ -228,6 +229,8 @@ def verify_d_after_a(k: int, d: int, samples: int | None = 1000,
             checked += 1
             value = image.evaluator(*vectors)
             if value != 0:
+                from fractions import Fraction
+
                 return PointwiseReport(False, checked, (
                     phis, vectors, Fraction(value, image.denominator)))
     return PointwiseReport(True, checked)
@@ -279,6 +282,8 @@ def verify_cup_primitive(phi1: DualVector, phi2: DualVector,
                - straightened.evaluator(v1, v2) * dn) * db
         rhs = boundary.evaluator(v1, v2) * dn * ds
         if lhs != rhs:
+            from fractions import Fraction
+
             scale = dn * ds * db
             return PointwiseReport(False, checked, (
                 (v1, v2), Fraction(lhs, scale), Fraction(rhs, scale)))

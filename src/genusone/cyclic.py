@@ -17,7 +17,7 @@ which the group acts through a quotient are fine.
 from __future__ import annotations
 
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime,
-                           cohomology_at)
+                           _require_int, cohomology_at)
 
 
 class CyclicAction:
@@ -41,8 +41,10 @@ class CyclicAction:
         self.__post_init__()
 
     def __post_init__(self):
-        if self.base is not None and not _is_prime(self.base):
-            raise ValueError(f"base must be None or a prime, got {self.base}")
+        if self.base is not None:
+            _require_int("base", self.base)
+            if not _is_prime(self.base):
+                raise ValueError(f"base must be None or a prime, got {self.base}")
         if self.order < 1:
             raise ValueError("group order must be positive")
         if self.gen.rows != self.gen.cols:

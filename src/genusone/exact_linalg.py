@@ -2,11 +2,12 @@
 
 Matrices are ``IntegerMatrix`` values of arbitrary-precision Python
 integers, stored as sparse rows of their nonzero (column, value) pairs.
-Products, sums, blocks, the d o d check of a ``CochainComplex`` and the
-unit-pivot reduction work on that form; only the eliminations (Bareiss,
-the divisor pass, ``smith_normal_form``) densify, locally; ``det`` reads
-the signed last pivot of the Bareiss pass that ``bareiss_rank`` runs.  There
-is deliberately no floating point and no fixed-width arithmetic anywhere.
+Products, sums, identity shifts, blocks, the d o d check of a
+``CochainComplex`` and the unit-pivot reduction work on that form; only
+the eliminations (Bareiss, the divisor pass, ``smith_normal_form``)
+densify, locally; ``det`` reads the signed last pivot of the Bareiss pass
+that ``bareiss_rank`` runs.  There is deliberately no floating point and
+no fixed-width arithmetic anywhere.
 The central operations are
 
 * ``cohomology_at``: the isomorphism class of ker(d_n)/im(d_{n-1}) of a
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
@@ -44,6 +46,13 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 #: _factor trial-divides up to here; a larger cofactor must be prime
 _TRIAL_DIVISION_LIMIT = 10 ** 6
+
+
+def _require_int(name: str, x) -> None:
+    """TypeError unless x is an int: a float or a bool would reach the
+    caches and the engine as an int."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be int, got {type(x).__name__}")
 
 
 def _is_prime(n: int) -> bool:
@@ -114,6 +123,11 @@ class IntegerMatrix:
     constructor takes dense rows and checks their shape and entry types
     once; every matrix computed here is built from stored rows and not
     checked again.  Indexing, iteration and ``to_lists`` give dense rows.
+
+    Costs: a product forms a_ij * b_jc only for nonzero factors; ``+``
+    densifies each row to its width; ``mod`` scans every entry and rebuilds
+    a matrix that is not yet reduced; ``add_identity`` (X + t I) touches
+    one entry per row and shares the rest.
 
     Degenerate shapes (zero rows or zero columns) are allowed and behave
     correctly under multiplication; they show up as the boundary maps of
@@ -229,6 +243,28 @@ class IntegerMatrix:
 
     def __neg__(self):
         return self * -1
+
+    def add_identity(self, t: int, base: int | None = None) -> "IntegerMatrix":
+        """self + t * I for a square matrix, touching one entry per row.
+
+        Over F_p (a prime ``base``) self must be reduced, as every matrix of
+        an F_p module is, and so is the result: only the diagonal entry of
+        each row is reduced.  The other entries are shared, not rescanned.
+        """
+        if self.rows != self.cols:
+            raise ValueError("identity shift of a non-square matrix")
+        rows = []
+        for i, row in enumerate(self._rows):
+            at = 2 * bisect_left(row[::2], i)
+            if at < len(row) and row[at] == i:
+                value = row[at + 1] + t
+                tail = row[at + 2:]
+            else:
+                value, tail = t, row[at:]
+            if base is not None:
+                value %= base
+            rows.append(row[:at] + (i, value) + tail if value else row[:at] + tail)
+        return IntegerMatrix._stored(tuple(rows), self.cols)
 
     def mod(self, p: int) -> "IntegerMatrix":
         """Entries reduced into [0, p); a matrix already reduced is returned as is."""

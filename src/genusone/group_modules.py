@@ -11,63 +11,91 @@ amalgamated product Z/4 *_{Z/2} Z/6 with presentation
 T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 
 A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
-as S^2 and the rank is the size of S.  Construction checks only shapes:
-the relations are certified once, when the amalgam complex is built from
-the module (``amalgam._parity_blocks``), by the two products S^2 S^2 and
-U (U U), which is exactly that complex's d o d = 0.  The k-th symmetric
-power of the standard rank-2 module uses the monomial basis
+as S^2 and the rank is the size of S.  Construction checks only shapes,
+and over F_p stores S and U reduced: the relations are certified once,
+when the amalgam complex is built from the module
+(``amalgam._parity_blocks``), by the two products S^2 S^2 and U (U U),
+which is exactly that complex's d o d = 0.  The k-th symmetric power of
+the standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
 
 and a matrix g acts on e1, e2 through its columns, so Sym is a covariant
 functor: sym_power_matrix(g*h, k) == sym_power_matrix(g, k) * sym_power_matrix(h, k).
+Over F_p the module is formed reduced from the start
+(``sym_power_matrix(g, k, base)``), with no integral Sym^k in between.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_linalg import IntegerMatrix, _is_prime
+from .exact_linalg import IntegerMatrix, _is_prime, _require_int
 
 S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
 T_MATRIX = IntegerMatrix([[1, 1], [0, 1]])  # equals S^{-1} * U
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _poly_mul(f: dict, g: dict, base: int | None) -> dict:
+    """The product of two sparse polynomials {degree: nonzero coefficient},
+    reduced mod base where one is given."""
+    if len(f) > len(g):
+        f, g = g, f
+    terms = iter(f.items())
+    i, x = next(terms)
+    out = {i + j: x * y for j, y in g.items()}
+    for i, x in terms:
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    if base is None:
+        return {e: v for e, v in out.items() if v}
+    return {e: r for e, v in out.items() if (r := v % base)}
 
 
-def sym_power_matrix(g: IntegerMatrix, k: int) -> IntegerMatrix:
-    """Matrix of the k-th symmetric power of g on the monomial basis.
+def sym_power_matrix(g: IntegerMatrix, k: int, base: int | None = None) -> IntegerMatrix:
+    """Matrix of the k-th symmetric power of g on the monomial basis,
+    over Z or, with ``base``, reduced mod base.
+
+    Column i is (a e1 + b e2)^(k-i) (c e1 + d e2)^i, formed from sparse
+    polynomials reduced mod base as they are formed, so the cost follows
+    the nonzero entries: for S and U, whose first column is e2, the first
+    factor is a monomial, S costs O(k) and Sym^96(U) mod 2 has 1219
+    nonzero entries of 9409 (Lucas).  The rows are stored as they are
+    collected, in column order.
 
     >>> sym_power_matrix(S_MATRIX, 2).to_lists()
     [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+    >>> sym_power_matrix(S_MATRIX, 2, base=3).to_lists()
+    [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
     >>> sym_power_matrix(S_MATRIX, 0).to_lists()
     [[1]]
     """
+    _require_int("k", k)
+    if base is not None:
+        _require_int("base", base)
+        if base < 2:
+            raise ValueError(f"base must be None or at least 2, got {base}")
     if g.shape != (2, 2):
         raise ValueError("symmetric powers are taken of 2x2 matrices here")
     if k < 0:
         raise ValueError("k must be non-negative")
-    a, b = g[0][0], g[1][0]  # image of e1
-    c, d = g[0][1], g[1][1]  # image of e2
+    (a, c), (b, d) = g  # a e1 + b e2 and c e1 + d e2 are the images of e1, e2
     if abs(a * d - b * c) != 1:
         raise ValueError("g must be invertible over Z")
-    # powers (a e1 + b e2)^i and (c e1 + d e2)^i for i = 0..k, coefficients
-    # by e2-degree; column i is (a e1 + b e2)^(k-i) * (c e1 + d e2)^i
-    first, second = [[1]], [[1]]
-    for _ in range(k):
-        first.append(_poly_mul(first[-1], [a, b]))
-        second.append(_poly_mul(second[-1], [c, d]))
-    cols = [_poly_mul(first[k - i], second[i]) for i in range(k + 1)]
-    return IntegerMatrix([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)],
-                         cols=k + 1)
+    # powers of a + b x and of c + d x, by x = e2-degree, for 0..k
+    first, second = [{0: 1}], [{0: 1}]
+    for powers, linear in ((first, {0: a, 1: b}), (second, {0: c, 1: d})):
+        linear = _poly_mul({0: 1}, linear, base)  # drops a zero term, reduces
+        for _ in range(k):
+            powers.append(_poly_mul(powers[-1], linear, base))
+    # a + b x and c + d x have coprime coefficients, so by Gauss's lemma so
+    # has every power and column: none vanishes mod base, none is empty
+    rows = [[] for _ in range(k + 1)]
+    for i in range(k + 1):
+        for r, v in _poly_mul(first[k - i], second[i], base).items():
+            rows[r] += (i, v)
+    return IntegerMatrix._stored(tuple(map(tuple, rows)), k + 1)
 
 
 class GroupModule:
@@ -78,10 +106,12 @@ class GroupModule:
     S^4 = 1 and S^2 = U^3 are certified in one place, by two products when
     ``amalgam.build_total_complex`` builds the module's complex; they are
     exactly its d o d = 0 (see ``amalgam._parity_blocks``).  They make S
-    and U invertible, so no determinant is taken.  Equality and hashing
-    cover ``(s, u, base)``, so a module is the cache key of
-    ``amalgam._module_complex``.  The shape check keeps the name
-    ``__post_init__``, which ``bench/spans.py`` traces to count modules.
+    and U invertible, so no determinant is taken.  Over F_p, S and U are
+    stored reduced, once the base is known to be a prime.  Equality and
+    hashing cover ``(s, u, base)``, so a module, however its entries were
+    given, is one cache key of ``amalgam._module_complex``.  The check keeps
+    the name ``__post_init__``, which ``bench/spans.py`` traces to count
+    modules.
     """
 
     __slots__ = ("s", "u", "base")
@@ -91,8 +121,11 @@ class GroupModule:
         self.__post_init__()
 
     def __post_init__(self):
-        if self.base is not None and not _is_prime(self.base):
-            raise ValueError(f"base must be None or a prime, got {self.base}")
+        if self.base is not None:
+            _require_int("base", self.base)
+            if not _is_prime(self.base):
+                raise ValueError(f"base must be None or a prime, got {self.base}")
+            self.s, self.u = self.s.mod(self.base), self.u.mod(self.base)
         for gen, mat in (("S", self.s), ("U", self.u)):
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
@@ -116,15 +149,20 @@ class GroupModule:
         """The same module with coefficients reduced mod a prime."""
         if self.base is not None:
             raise ValueError("module is already over a prime field")
-        if not _is_prime(p):
-            raise ValueError(f"can only reduce modulo a prime, got {p}")
-        return GroupModule(self.s.mod(p), self.u.mod(p), base=p)
+        _require_prime(p)
+        return GroupModule(self.s, self.u, base=p)
+
+
+def _require_prime(p: int) -> None:
+    _require_int("p", p)
+    if not _is_prime(p):
+        raise ValueError(f"can only reduce modulo a prime, got {p}")
 
 
 @lru_cache(maxsize=None)
 def _sym_module(k: int, base: int | None) -> GroupModule:
-    module = GroupModule(sym_power_matrix(S_MATRIX, k), sym_power_matrix(U_MATRIX, k))
-    return module if base is None else module.reduce(base)
+    return GroupModule(sym_power_matrix(S_MATRIX, k, base), sym_power_matrix(U_MATRIX, k, base),
+                       base)
 
 
 def standard_coefficient_module(name: str, k: int | None = None,
@@ -132,13 +170,20 @@ def standard_coefficient_module(name: str, k: int | None = None,
     """The coefficient systems used throughout: "sym_k" and "f2_squared".
 
     "sym_k" needs the symmetric-power degree k; with a prime ``base`` it
-    is the integral Sym^k reduced mod base (``GroupModule.reduce``) once.
-    "f2_squared" is the rank-2 mod-2 reduction of the standard module.
+    is Sym^k over F_base, formed reduced by ``sym_power_matrix`` and kept
+    per (k, base).  "f2_squared" is the rank-2 mod-2 reduction of the
+    standard module.  k and base are checked to be ints before the cache
+    is read.
     """
-    if base is not None and name != "sym_k":
-        raise ValueError(f"module {name!r} takes no base")
+    if base is not None:
+        if name != "sym_k":
+            raise ValueError(f"module {name!r} takes no base")
+        _require_prime(base)
     if name == "sym_k":
-        if k is None or k < 0:
+        if k is None:
+            raise ValueError("sym_k needs a non-negative degree k")
+        _require_int("k", k)
+        if k < 0:
             raise ValueError("sym_k needs a non-negative degree k")
         return _sym_module(k, base)
     if name == "f2_squared":

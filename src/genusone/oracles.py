@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclic import CyclicAction
@@ -148,6 +147,8 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
 def _fraction_pivots(rows: list, cols: int) -> tuple[list, int]:
     """Pivots of forward fraction elimination on integer ``rows`` of width
     ``cols``, in order, and the sign of its row swaps."""
+    from fractions import Fraction  # kept off the import path of the CLI
+
     rows = [[Fraction(v) for v in row] for row in rows]
     pivots, sign = [], 1
     for col in range(cols):

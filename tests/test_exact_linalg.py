@@ -63,6 +63,30 @@ def test_mod_keeps_a_reduced_matrix():
         assert m.mod(3).to_lists() == [[x % 3 for x in row] for row in data]
 
 
+def test_identity_shift_matches_the_sum():
+    # rows with a diagonal entry, without one, empty, and with a diagonal
+    # entry that the shift cancels, over Z and reduced mod p
+    rng = random.Random(12)
+    for n in (0, 1, 2, 5, 9):
+        for _ in range(6):
+            data = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+                    for _ in range(n)]
+            for t in (-3, -1, 0, 1, 2):
+                for i in range(0, n, 2):
+                    data[i][i] = -t  # cancels to 0 over Z
+                x = IntegerMatrix(data, cols=n)
+                shifted = x.add_identity(t)
+                assert shifted == x + IntegerMatrix.identity(n) * t
+                assert_stored(shifted, [[v + t * (i == j) for j, v in enumerate(row)]
+                                        for i, row in enumerate(data)])
+                for p in (2, 3, 5):
+                    reduced = x.mod(p).add_identity(t, p)
+                    assert reduced == (x + IntegerMatrix.identity(n) * t).mod(p), (n, t, p)
+                    assert_stored(reduced, p=p)
+    with pytest.raises(ValueError, match="non-square"):
+        IntegerMatrix([[1, 2]]).add_identity(1)
+
+
 def _naive_product(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(a.cols)) for j in range(b.cols)]
             for i in range(a.rows)]

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from genusone.amalgam import build_total_complex
-from genusone.exact_linalg import IntegerMatrix
+import genusone.amalgam as amalgam
+from genusone.amalgam import build_total_complex, sl2z_cohomology, sl2z_cohomology_module
+from genusone.cyclic import CyclicAction
+from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix
 from genusone.group_modules import (GroupModule, S_MATRIX,
                                     standard_coefficient_module, sym_power_matrix,
                                     T_MATRIX, U_MATRIX)
@@ -175,7 +177,7 @@ def test_sym_module_over_a_prime_field_is_the_reduction():
 
 
 def test_sym_module_over_a_prime_field_is_reduced_once(monkeypatch):
-    # the record is kept per (k, p), so a later call reduces nothing
+    # Sym^k over F_p is built reduced and kept per (k, p): no call reduces
     first = standard_coefficient_module("sym_k", 23, base=7)
     reductions = []
     original = GroupModule.reduce
@@ -193,3 +195,96 @@ def test_sym_module_over_a_prime_field_is_reduced_once(monkeypatch):
 def test_reduction_rejects_non_prime(p):
     with pytest.raises(ValueError, match="can only reduce modulo a prime"):
         standard_coefficient_module("sym_k", k=1).reduce(p)
+
+
+#: S, U and T, and two matrices with all four entries nonzero
+SYM_ARGUMENTS = (S_MATRIX, U_MATRIX, T_MATRIX, IntegerMatrix([[2, 1], [1, 1]]),
+                 IntegerMatrix([[1, 1], [1, 2]]))
+
+
+def test_sym_power_mod_p_is_the_reduction_of_the_integral_one():
+    for g in SYM_ARGUMENTS:
+        for k in range(41):
+            integral = sym_power_matrix(g, k)
+            for p in (2, 3, 5, 7):
+                assert sym_power_matrix(g, k, p) == integral.mod(p), (g, k, p)
+
+
+def test_sym_power_mod_p_is_functorial():
+    rng = random.Random(6)
+    for k in range(13):
+        for p in (2, 3, 5, 7):
+            g, h = _random_word(rng, rng.randint(1, 8)), rng.choice(SYM_ARGUMENTS)
+            assert (sym_power_matrix(g * h, k, p)
+                    == (sym_power_matrix(g, k, p) * sym_power_matrix(h, k, p)).mod(p)), (k, p)
+
+
+def test_sym_module_over_a_prime_field_is_built_without_the_integral_one(monkeypatch):
+    # Sym^k mod p is formed reduced, not as Sym^k over Z followed by reduce
+    from genusone.group_modules import _sym_module
+
+    calls = []
+    original = sym_power_matrix
+
+    def spy(g, k, base=None):
+        calls.append(base)
+        return original(g, k, base)
+
+    monkeypatch.setattr("genusone.group_modules.sym_power_matrix", spy)
+    monkeypatch.setattr(GroupModule, "reduce", lambda *args: pytest.fail("reduced"))
+    _sym_module.cache_clear()
+    try:
+        module = standard_coefficient_module("sym_k", 29, base=5)
+    finally:
+        _sym_module.cache_clear()
+    assert calls == [5, 5]
+    assert (module.s, module.u) == (original(S_MATRIX, 29).mod(5), original(U_MATRIX, 29).mod(5))
+
+
+def test_non_int_bases_and_degrees_are_rejected_before_any_cache():
+    # a float base used to be stored: GroupModule and CyclicAction failed
+    # later inside pow, and standard_coefficient_module cached Sym^3 with
+    # float entries under the key (3, 2.0) == (3, 2), which a later
+    # sl2z_cohomology(3, 1, modulus=2) then read; a bool degree read Sym^1
+    from genusone.group_modules import _sym_module
+
+    before = _sym_module.cache_info()
+    with pytest.raises(TypeError, match="^base must be int, got float"):
+        GroupModule(S_MATRIX, U_MATRIX, base=2.0)
+    with pytest.raises(TypeError, match="^base must be int, got float"):
+        CyclicAction(4, S_MATRIX, base=2.0)
+    with pytest.raises(TypeError, match="^p must be int, got float"):
+        standard_coefficient_module("sym_k", 3, base=2.0)
+    with pytest.raises(TypeError, match="^k must be int, got bool"):
+        standard_coefficient_module("sym_k", True)
+    with pytest.raises(TypeError, match="^p must be int, got float"):
+        GroupModule(S_MATRIX, U_MATRIX).reduce(2.0)
+    for args in ((S_MATRIX, 2.0), (S_MATRIX, 2, 2.0), (S_MATRIX, True)):
+        with pytest.raises(TypeError, match="must be int"):
+            sym_power_matrix(*args)
+    assert _sym_module.cache_info() == before
+    assert sl2z_cohomology(3, 1, modulus=2) == FgAbelianGroup(0, [2, 2])
+
+
+def test_a_module_over_f_p_is_one_cache_key_however_its_entries_are_given(monkeypatch):
+    # S and U are stored reduced, so unreduced and reduced entries give one
+    # module, one key of the complex cache and one build
+    given = GroupModule(S_MATRIX, U_MATRIX, base=3)
+    reduced = GroupModule(S_MATRIX.mod(3), U_MATRIX.mod(3), base=3)
+    assert given == reduced and hash(given) == hash(reduced)
+    assert given == standard_coefficient_module("sym_k", 1, base=3)
+    assert given.s == IntegerMatrix([[0, 2], [1, 0]])
+    built = []
+    original = amalgam.build_total_complex
+
+    def spy(module, top_degree):
+        built.append(module)
+        return original(module, top_degree)
+
+    monkeypatch.setattr(amalgam, "build_total_complex", spy)
+    amalgam._module_complex.cache_clear()
+    try:
+        groups = [sl2z_cohomology_module(module, 1) for module in (given, reduced)]
+    finally:
+        amalgam._module_complex.cache_clear()
+    assert built == [given] and groups[0] == groups[1]

@@ -135,15 +135,17 @@ def test_the_field_check_sees_an_unread_field():
     assert _unread_fields({"m": source}, [source, reader]) == ["Pair.gone", "Slots.lost"]
 
 
-#: modules that ``dataclasses`` pulls in; none is needed to run the CLI
-INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
+#: modules that ``dataclasses`` pulls in, and ``fractions`` with the ``decimal``
+#: it loads, which only the oracles and the cochain checks use, inside the
+#: functions that need them; none is needed to run the CLI
+UNNEEDED = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal")
 
 
 def test_a_cold_cli_import_loads_no_dataclasses():
     # a fresh interpreter imports as the benchmark worker does: the package,
     # then its CLI; each module it leaves loaded raises every command's floor
     probe = ("import sys\nimport genusone\nimport genusone.cli\n"
-             f"print(*(m for m in {INTROSPECTION!r} if m in sys.modules))")
+             f"print(*(m for m in {UNNEEDED!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(genusone.__file__).resolve().parents[1])}
     child = subprocess.run([sys.executable, "-B", "-c", probe], env=env,
                            capture_output=True, text=True, timeout=60, check=True)
