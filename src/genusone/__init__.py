@@ -1,8 +1,9 @@
 """Exact integral cohomology of the modular group and of the genus-one
 moduli space, computed from first principles with verification suites.
 
-The core pipeline builds a mapping-cone total complex from the periodic
-resolutions of the cyclic pieces of the amalgam decomposition, certifies
+The core pipeline takes the mapping cone of the periodic resolutions of
+the cyclic pieces of the amalgam decomposition, with its identity blocks
+cancelled: the period-2 resolution of ranks r, 2r, 2r, 2r.  It certifies
 d o d = 0 once by the relations S^4 = 1 and S^2 = U^3 of the coefficient
 module, reduces it on its unit pivots, reads each H^p from integer ranks
 and elementary divisors, and assembles the page bookkeeping for the moduli

@@ -3,31 +3,45 @@
 SL2(Z) = Z/4 *_{Z/2} Z/6, amalgamated over the central subgroup generated
 by -I.  Acting on the Bass-Serre tree gives a short exact sequence of
 permutation modules which, after applying Hom and Shapiro's lemma,
-identifies the cochain complex of SL2(Z) with the mapping-cone total
-complex of the restriction-difference map
+identifies the cochain complex of SL2(Z) with the mapping cone of the
+restriction-difference map
 
     C*(Z/4, M) (+) C*(Z/6, M)  --( r_A - r_B )-->  C*(Z/2, M).
 
-Concretely the degree-n term is A^n (+) B^n (+) C^{n-1} (no C block in
-degree 0) and the differential is
+Its degree-n term is A^n (+) B^n (+) C^{n-1} (no C block in degree 0),
+each a copy of the rank-r module, and its differential is
 
-    D(a, b, c) = (dA a, dB b, r_A(a) - r_B(b) - dC c),
+    D(a, b, g) = (dA a, dB b, r_A(a) - r_B(b) - dC g),
 
 which squares to zero because the restrictions are chain maps.  Computing
 cohomology of this single complex avoids the extension ambiguities a long
 exact sequence would leave behind; in particular the Z/4 inside
 H^2(SL2(Z), Sym^4) comes out as Z/4 and not (Z/2)^2.
 
-The blocks come straight from S and U, with -I acting as c = S^2.
-``_parity_blocks`` checks the relations S^4 = 1 and S^2 = U^3 that make
-them the cyclic groups' blocks, by two r x r products.  It is the only
-check of those relations (a ``GroupModule`` checks just the shapes of S
-and U), and it is exactly the d o d = 0 of the complex, which is
+That cone has ranks 2r, 3r, 3r, ...  In every even degree n both
+restrictions are identities, so the C^n row of D_n is (1, -1, -(1 + c)),
+with c = S^2 the action of -I: a unit block.  ``build_total_complex``
+cancels it once, on the blocks, by the step the unit-pivot reduction
+would take one pivot at a time: it substitutes b = a - (1 + c)g and drops
+B^n and C^n.  What is left is the classical period-2 resolution, of ranks
+r, 2r, ..., 2r, and 3r in the top degree when that is even (no D_top
+cancels B^top), with N = 1 + U + U^2:
+
+    D_0 = [S - 1; U - 1],
+    odd D_n = [[(1 + c)(1 + S), 0], [1 + S, -N]] on (A^n, B^n),
+    even D_n = [[S - 1, 0], [U - 1, -(U - 1)(1 + c)]] on (A^n, C^{n-1}),
+
+and an odd D_n whose n + 1 is an even top keeps the row [0, (1 + c)N] of
+B^{n+1} between its two rows.  The blocks come straight from S and U,
+and ``_parity_blocks`` checks the relations S^4 = 1 and S^2 = U^3 that
+make them the cyclic groups' blocks, by two r x r products.  It is the
+only check of those relations (a ``GroupModule`` checks just the shapes
+of S and U), and it is exactly the d o d = 0 of the resolution, which is
 therefore stored without the row-by-row check of ``CochainComplex``.
-Each block of D_n depends only on the parity of n once n >= 1, so
-D_n = D_{n+2} for n >= 1.  Each module gets one complex, in degrees 0..3.
-As C^3 = C^1, H^3 = ker D_1 / im D_2 has the free rank of H^2 and the
-torsion of coker D_2, and H^p for p >= 4 is H^{2 + p % 2}.
+D_n = D_{n+2} for n >= 1 but at an even top.  Each module gets one
+complex, in degrees 0..3.  As C^3 = C^1, H^3 = ker D_1 / im D_2 has the
+free rank of H^2 and the torsion of coker D_2, and H^p for p >= 4 is
+H^{2 + p % 2}.
 
 Over Z the transfer bounds H^2 and H^3.  The commutator subgroup of
 SL2(Z) is free of rank 2 and index 12 (Serre, *Trees*), so cor o res = 12
@@ -44,9 +58,9 @@ vanish and dim H^3 = dim H^2.
 
 A ``GroupModule`` is hashable, so one cache keyed by the module holds its
 complex, built once; ``sl2z_cohomology`` reads Sym^k through the same
-cache.  Reduced once on its unit pivots, the complex keeps one record per
-reduced differential (``exact_linalg.CochainComplex.reduced``) for every
-H^p to read.
+cache.  Reduced once on its remaining unit pivots, the complex keeps one
+record per reduced differential (``exact_linalg.CochainComplex.reduced``)
+for every H^p to read.
 """
 
 from __future__ import annotations
@@ -60,67 +74,57 @@ from .group_modules import GroupModule, standard_coefficient_module
 
 
 class AmalgamComplex(NamedTuple):
-    """Total complex of the amalgam mapping cone for one coefficient module."""
+    """The amalgam resolution of one coefficient module (module docstring)."""
 
     complex: CochainComplex
 
 
 def _parity_blocks(module: GroupModule):
-    """Blocks of D_n for even and for odd n: (dA, dB, -dC at n - 1, r_A, -r_B),
-    after checking that the module satisfies the relations of SL2(Z).
+    """The blocks of the resolution, after checking that the module satisfies
+    the relations of SL2(Z): for even n (S - 1, U - 1, -(U - 1)(1 + c)), for
+    odd n ((1 + c)(1 + S), 1 + S, -N), and 1 + c, with N = 1 + U + U^2.
 
-    With c = S^2, the action of -I, (dA, dB, dC, r_A, r_B) is
-    (S - 1, U - 1, 1 + c, 1, 1) for even n and ((1 + c)(1 + S),
-    (1 + c)(1 + U + U^2), c - 1, 1 + S, 1 + U + U^2) for odd n.  Over F_p
-    every block is reduced, as built, and the algebra below holds in
-    M_r(F_p) as it does in M_r(Z).  Each X + t with X one of S, U, c, -c or
-    0, and the identity in 1 + U + U^2, is ``IntegerMatrix.add_identity``,
-    which touches one entry per row and reduces only it, as S and U of an
-    F_p module are stored reduced.
+    Over F_p each is formed reduced, with no ``IntegerMatrix.mod`` rescan:
+    X + t by ``add_identity``, which touches one entry per row, and every
+    product and sum by ``times`` and ``plus``, which reduce each row in its
+    accumulator, so a factor may be unreduced (-U, 1 - U, -U^2) and a negated
+    block is formed from a negated factor.
 
-    The relation check is the d o d = 0 of the whole complex.  The nonzero
-    blocks of D_1 o D_0 are c^2 - 1 (row A), (1 + c)(U^3 - 1) (row B) and
-    c - U^3 (row C, column B); its block in row C, column A is S^2 - c,
-    which is 0 by the definition of c.  So D_1 o D_0 = 0 exactly when
-    S^4 = c^2 = 1 and U^3 = c, the presentation <S, U | S^4 = 1, S^2 = U^3>
-    of SL2(Z) (Serre, *Trees*, I.4).  Given them, U commutes with c = U^3,
-    and every block of D_2 o D_1 and of D_1 o D_2 is c^2 - 1,
-    (1 + c)(U^3 - 1) = c^2 - 1, c - U^3 or identically 0, so each vanishes.
-    As D_n = D_{n+2} for n >= 1, d o d = 0 in every degree.  The two
-    relations cost the products c c and U (U U), where the row-by-row check
-    multiplies D_1 by D_0 and D_2 by D_1 out.  A module that fails either
-    raises the ValueError that check would, naming the relation.  Then
-    every block is that of ``cyclic.CyclicAction`` or
-    ``restriction_cochain_matrix`` for <S>, <U> and <c>: the norms are
-    1 + S + S^2 + S^3 and 1 + U + ... + U^5.
+    The relation check is the d o d = 0 of the whole complex.  As
+    (1 + S)(S - 1) = c - 1 and N(U - 1) = U^3 - 1, D_1 o D_0 is
+    ((1 + c)(c - 1); c - U^3), with the row (1 + c)(U^3 - 1) between at
+    top 2.  So D_1 o D_0 = 0 exactly when S^4 = c^2 = 1 and U^3 = c, the
+    presentation <S, U | S^4 = 1, S^2 = U^3> of SL2(Z) (Serre, *Trees*,
+    I.4), which the products c c and U (U U) decide.  Given them, U commutes
+    with c = U^3, and D_2 o D_1 = ((1 + c)(c - 1), 0; 0, (1 + c)(U^3 - 1)),
+    D_1 o D_2 = ((1 + c)(c - 1), 0; c - U^3, (U^3 - 1)(1 + c)) and the row
+    of B^top times D_2, (1 + c)(U^3 - 1)(1, -(1 + c)), all vanish.  As
+    D_n = D_{n+2} otherwise, d o d = 0 in every degree.  A module that
+    fails a relation raises the ValueError the row-by-row check would,
+    naming the relation.  Then every block is that of ``cyclic.CyclicAction``
+    or ``restriction_cochain_matrix`` for <S>, <U> and <c>: (1 + c)(1 + S)
+    and (1 + c)N are the norms of Z/4 and Z/6, 1 + S and N the partial
+    norms of the restrictions to Z/2.
     """
-    base = module.base
-
-    def reduced(m: IntegerMatrix) -> IntegerMatrix:
-        return m if base is None else m.mod(base)
-
-    s, u = module.s, module.u
-    c = reduced(s * s)
-    u_u = reduced(u * u)
-    broken = [relation for relation, holds in (("S^4 = 1", reduced(c * c).is_identity()),
-                                               ("U^3 = S^2", reduced(u * u_u) == c))
+    base, s, u = module.base, module.s, module.u
+    c, u_u = s.times(s, base), u.times(u, base)
+    broken = [relation for relation, holds in (("S^4 = 1", c.times(c, base).is_identity()),
+                                               ("U^3 = S^2", u.times(u_u, base) == c))
               if not holds]
     if broken:
         raise ValueError("d1 o d0 is not zero; not a complex: the module fails "
                          + " and ".join(broken))
-    r = module.rank
-    res_a = s.add_identity(1, base)
-    res_b = reduced(u + u_u).add_identity(1, base)
-    norm_c = c.add_identity(1, base)
-    neg_c = reduced(-c)
-    return [(s.add_identity(-1, base), u.add_identity(-1, base), neg_c.add_identity(-1, base),
-             IntegerMatrix.identity(r), IntegerMatrix.zeros(r, r).add_identity(-1, base)),
-            (reduced(norm_c * res_a), reduced(norm_c * res_b), neg_c.add_identity(1, base),
-             res_a, reduced(-res_b))]
+    neg_u = u * -1
+    norm_c, res_a = c.add_identity(1, base), s.add_identity(1, base)
+    return ((s.add_identity(-1, base), u.add_identity(-1, base),
+             neg_u.add_identity(1).times(norm_c, base)),
+            (norm_c.times(res_a, base), res_a, neg_u.plus(u_u * -1, base).add_identity(-1, base)),
+            norm_c)
 
 
 def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
-    """Assemble the mapping-cone complex in degrees 0..top_degree.
+    """The resolution in degrees 0..top_degree (module docstring): ranks r,
+    2r, ..., 2r, and 3r in the top degree when it is even.
 
     top_degree must be at least 2, so that the relations that
     ``_parity_blocks`` checks are exactly d o d = 0 of the complex built;
@@ -130,28 +134,20 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     """
     if top_degree < 2:
         raise ValueError("top_degree must be at least 2")
-    blocks = _parity_blocks(module)
+    (s_1, u_1, paired), (norm_s, res_a, neg_norm), norm_c = _parity_blocks(module)
     r = module.rank
     zero = IntegerMatrix.zeros(r, r)
-
-    def differential(n: int) -> IntegerMatrix:
-        da, db, neg_dc, res_a, neg_res_b = blocks[n % 2]
-        if n == 0:
-            grid = [[da, zero],
-                    [zero, db],
-                    [res_a, neg_res_b]]
-        else:
-            grid = [[da, zero, zero],
-                    [zero, db, zero],
-                    [res_a, neg_res_b, neg_dc]]
-        return IntegerMatrix.from_blocks(grid)
-
-    ranks = (2 * r,) + (3 * r,) * top_degree
+    odd = [[norm_s, zero], [res_a, neg_norm]]
+    grids = ([[s_1], [u_1]], odd, [[s_1, zero], [u_1, paired]])
     # D_n = D_{n+2} for n >= 1, so one matrix serves both; over F_p it is
     # built reduced, so the complex keeps it as it is and it stays shared
-    diffs = []
-    for n in range(top_degree):
-        diffs.append(differential(n) if n < 3 else diffs[n - 2])
+    diffs = [IntegerMatrix.from_blocks(grid) for grid in grids[:top_degree]]
+    diffs += [diffs[2 - n % 2] for n in range(3, top_degree)]
+    if top_degree % 2 == 0:
+        # no D_top pairs B^top off, so the last odd differential keeps its row
+        odd.insert(1, [zero, (norm_c * -1).times(neg_norm, module.base)])
+        diffs[-1] = IntegerMatrix.from_blocks(odd)
+    ranks = (r,) + (2 * r,) * (top_degree - 1) + ((3 - top_degree % 2) * r,)
     return AmalgamComplex(CochainComplex._stored(ranks, tuple(diffs), module.base))
 
 

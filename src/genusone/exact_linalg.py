@@ -124,10 +124,10 @@ class IntegerMatrix:
     once; every matrix computed here is built from stored rows and not
     checked again.  Indexing, iteration and ``to_lists`` give dense rows.
 
-    Costs: a product forms a_ij * b_jc only for nonzero factors; ``+``
-    densifies each row to its width; ``mod`` scans every entry and rebuilds
-    a matrix that is not yet reduced; ``add_identity`` (X + t I) touches
-    one entry per row and shares the rest.
+    Costs: a product forms a_ij * b_jc only for nonzero factors; a sum
+    densifies each row to its width; ``times`` and ``plus`` mod a prime
+    reduce each row as they collect it, where ``mod`` rescans every entry;
+    ``add_identity`` (X + t I) touches one entry per row.
 
     Degenerate shapes (zero rows or zero columns) are allowed and behave
     correctly under multiplication; they show up as the boundary maps of
@@ -154,8 +154,7 @@ class IntegerMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for x in row:
-                if type(x) is not int:
-                    raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+                _require_int("matrix entries", x)
         self.rows, self.cols = len(table), cols
         self._rows = tuple(map(_stored_row, table))
 
@@ -220,21 +219,30 @@ class IntegerMatrix:
                 return IntegerMatrix.zeros(self.rows, self.cols)
             return IntegerMatrix._stored(tuple(_scaled(row, other) for row in self._rows),
                                          self.cols)
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
+        return self.times(other) if isinstance(other, IntegerMatrix) else NotImplemented
+
+    def times(self, other: "IntegerMatrix", base: int | None = None) -> "IntegerMatrix":
+        """self * other, reduced mod a prime ``base`` where one is given."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
         right, width = other._rows, other.cols
-        return IntegerMatrix._stored(tuple(_stored_row(_row_product(row, right, width))
+        return IntegerMatrix._stored(tuple(_row_product(row, right, width, base)
                                            for row in self._rows), width)
 
     def __add__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
+        return self.plus(other) if isinstance(other, IntegerMatrix) else NotImplemented
+
+    def plus(self, other: "IntegerMatrix", base: int | None = None) -> "IntegerMatrix":
+        """self + other, reduced mod a prime ``base`` where one is given."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntegerMatrix._stored(tuple(_row_sum(row, other_row, self.cols) for row, other_row
-                                           in zip(self._rows, other._rows)), self.cols)
+        rows = []
+        for row, other_row in zip(self._rows, other._rows):
+            acc = _dense(row, self.cols)
+            for c, v in _pairs(other_row):
+                acc[c] += v
+            rows.append(_stored_row(acc, base))
+        return IntegerMatrix._stored(tuple(rows), self.cols)
 
     def __sub__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -303,9 +311,12 @@ def _pairs(row: tuple):
     return zip(entries, entries)
 
 
-def _stored_row(dense) -> tuple:
-    """A dense row as a stored row."""
-    return tuple(chain.from_iterable(compress(enumerate(dense), dense)))
+def _stored_row(dense, base: int | None = None) -> tuple:
+    """A dense row as a stored row, reduced mod ``base`` where one is given."""
+    pairs = compress(enumerate(dense), dense)
+    if base is not None:
+        pairs = ((c, r) for c, x in pairs if (r := x % base))
+    return tuple(chain.from_iterable(pairs))
 
 
 def _dense(row: tuple, width: int) -> list[int]:
@@ -330,8 +341,8 @@ def _scaled(row: tuple, factor: int) -> tuple:
     return tuple(out)
 
 
-def _row_product(row: tuple, right: tuple, width: int) -> list[int]:
-    """The row vector ``row`` times the matrix ``right``, both as stored rows.
+def _row_product(row: tuple, right: tuple, width: int, base: int | None) -> tuple:
+    """The row vector ``row`` times the matrix ``right``, all as stored rows.
 
     Row i of A * B is the sum of a_ij * (row j of B) over the nonzero a_ij,
     so a product a_ij * b_jc is formed only when both factors are nonzero.
@@ -341,15 +352,7 @@ def _row_product(row: tuple, right: tuple, width: int) -> list[int]:
         entries = iter(right[j])
         for c, v in zip(entries, entries):
             acc[c] += a * v
-    return acc
-
-
-def _row_sum(row: tuple, other: tuple, width: int) -> tuple:
-    """The sum of two stored rows."""
-    acc = _dense(row, width)
-    for c, v in _pairs(other):
-        acc[c] += v
-    return _stored_row(acc)
+    return _stored_row(acc, base)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -741,14 +744,11 @@ class CochainComplex:
     ``cyclic.periodic_complex`` by g^m = 1 (``cyclic.CyclicAction``).
 
     The check forms each row of d(n+1) o d(n) as the sum of a * (row j of
-    d(n)) over the nonzero entries a = d(n+1)[i][j], in exact integer
-    arithmetic.  A row fails if it is nonzero over Z, or has an entry not
-    divisible by p over F_p; it is dropped once seen to vanish, so the
-    product matrix is never built.  Skipping zero entries changes no sum,
-    so the check is exactly the test that the product is zero.  It stays
-    on these unreduced differentials: the unit-pivot reduction that
-    ``cohomology_at`` reads from (``reduced``) relies on d o d = 0 to drop
-    a row, so a defect can vanish from the reduced complex (see
+    d(n)) over the nonzero entries a = d(n+1)[i][j], reduced mod p over
+    F_p, and fails on a nonzero row, so the product matrix is never built.
+    It stays on these unreduced differentials: the unit-pivot reduction
+    that ``cohomology_at`` reads from (``reduced``) relies on d o d = 0 to
+    drop a row, so a defect can vanish from the reduced complex (see
     ``_reduce_on_units``).
 
     ``base`` is None for Z or a prime p for F_p; over F_p the entries are
@@ -761,12 +761,13 @@ class CochainComplex:
                  base: int | None = None):
         ranks = tuple(ranks)
         for r in ranks:
-            if type(r) is not int:
-                raise TypeError(f"ranks must be int, got {type(r).__name__}")
+            _require_int("ranks", r)
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
-        if base is not None and not _is_prime(base):
-            raise ValueError(f"base must be a prime or None, got {base}")
+        if base is not None:
+            _require_int("base", base)
+            if not _is_prime(base):
+                raise ValueError(f"base must be a prime or None, got {base}")
         # reduce while consuming, so an iterator's unreduced matrices are freed
         # one by one; a matrix given reduced is kept, and so stays shared
         diffs = tuple(d if base is None else d.mod(base) for d in differentials)
@@ -779,8 +780,7 @@ class CochainComplex:
         for n in range(len(diffs) - 1):
             right = diffs[n].sparse_rows()
             for row in diffs[n + 1].sparse_rows():
-                acc = _row_product(row, right, ranks[n])
-                if any(acc) and (base is None or any(x % base for x in acc)):
+                if _row_product(row, right, ranks[n], base):
                     raise ValueError(f"d{n + 1} o d{n} is not zero; not a complex")
         self.ranks = ranks
         self.differentials = diffs
@@ -946,6 +946,7 @@ def _cancel_units(rows: dict, base: int | None):
     deleted, and every other row a gets row_a -= (row_a[j] / u) row_i,
     reduced mod ``base`` over F_p.
     """
+    reducing = base is not None
     cols = {}
     for i, entries in rows.items():
         for j in entries:
@@ -959,30 +960,30 @@ def _cancel_units(rows: dict, base: int | None):
         prow = rows.get(i)
         if prow is None or len(prow) != length:
             continue
-        units = list(prow) if base is not None else [j for j, v in prow.items()
-                                                      if v == 1 or v == -1]
+        units = list(prow) if reducing else [j for j, v in prow.items() if v == 1 or v == -1]
         if not units:
             continue
         j = min(units, key=lambda c: len(cols[c]))
-        inverse = prow[j] if base is None else pow(prow[j], -1, base)
         del rows[i]
         for c in prow:
             cols[c].discard(i)
+        unit = prow.pop(j)
+        inverse = pow(unit, -1, base) if reducing else unit
         for a in cols.pop(j):
             target = rows[a]
-            q = target[j] * inverse
+            q = target.pop(j) * inverse
             for c, v in prow.items():
-                new = target.get(c, 0) - q * v
-                if base is not None:
+                old = target.get(c)
+                new = (old or 0) - q * v
+                if reducing:
                     new %= base
                 if new:
-                    if c not in target:
-                        cols.setdefault(c, set()).add(a)
+                    if old is None:
+                        cols[c].add(a)
                     target[c] = new
-                elif c in target:
+                elif old is not None:
                     del target[c]
-                    if c != j:
-                        cols[c].discard(a)
+                    cols[c].discard(a)
             if target:
                 heapq.heappush(heap, (len(target), a))
             else:
@@ -1015,8 +1016,7 @@ def cohomology_at(complex_: CochainComplex, n: int) -> FgAbelianGroup:
     records of d_n and d_{n-1} give them, each from one Bareiss pass and a
     diagonal form modulo its minor N, with no unimodular transform carried.
     """
-    if type(n) is not int:
-        raise TypeError(f"degree must be int, got {type(n).__name__}")
+    _require_int("degree", n)
     if n < 0 or n >= len(complex_.ranks):
         raise ValueError(f"degree {n} outside the constructed range")
     ranks, records = complex_.reduced()

@@ -15,7 +15,8 @@ as S^2 and the rank is the size of S.  Construction checks only shapes,
 and over F_p stores S and U reduced: the relations are certified once,
 when the amalgam complex is built from the module
 (``amalgam._parity_blocks``), by the two products S^2 S^2 and U (U U),
-which is exactly that complex's d o d = 0.  The k-th symmetric power of
+which is exactly that complex's d o d = 0: the C^1 row of its D_1 o D_0 is
+S^2 - U^3 and its A^2 row S^4 - 1.  The k-th symmetric power of
 the standard rank-2 module uses the monomial basis
 
     e1^k, e1^{k-1} e2, ..., e2^k          (decreasing e1-degree),
@@ -23,7 +24,8 @@ the standard rank-2 module uses the monomial basis
 and a matrix g acts on e1, e2 through its columns, so Sym is a covariant
 functor: sym_power_matrix(g*h, k) == sym_power_matrix(g, k) * sym_power_matrix(h, k).
 Over F_p the module is formed reduced from the start
-(``sym_power_matrix(g, k, base)``), with no integral Sym^k in between.
+(``sym_power_matrix(g, k, base)``), with no integral Sym^k in between, and
+stored as formed (``GroupModule._stored``), with no ``mod`` rescan.
 """
 
 from __future__ import annotations
@@ -119,13 +121,22 @@ class GroupModule:
     def __init__(self, s: IntegerMatrix, u: IntegerMatrix, base: int | None = None):
         self.s, self.u, self.base = s, u, base
         self.__post_init__()
+        if base is not None:
+            self.s, self.u = s.mod(base), u.mod(base)
+
+    @classmethod
+    def _stored(cls, s: IntegerMatrix, u: IntegerMatrix, base: int | None) -> "GroupModule":
+        """A module whose S and U are given reduced: checked, not rescanned."""
+        module = object.__new__(cls)
+        module.s, module.u, module.base = s, u, base
+        module.__post_init__()
+        return module
 
     def __post_init__(self):
         if self.base is not None:
             _require_int("base", self.base)
             if not _is_prime(self.base):
                 raise ValueError(f"base must be None or a prime, got {self.base}")
-            self.s, self.u = self.s.mod(self.base), self.u.mod(self.base)
         for gen, mat in (("S", self.s), ("U", self.u)):
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
@@ -161,8 +172,8 @@ def _require_prime(p: int) -> None:
 
 @lru_cache(maxsize=None)
 def _sym_module(k: int, base: int | None) -> GroupModule:
-    return GroupModule(sym_power_matrix(S_MATRIX, k, base), sym_power_matrix(U_MATRIX, k, base),
-                       base)
+    return GroupModule._stored(sym_power_matrix(S_MATRIX, k, base),
+                               sym_power_matrix(U_MATRIX, k, base), base)
 
 
 def standard_coefficient_module(name: str, k: int | None = None,

@@ -381,30 +381,34 @@ def test_table_eliminates_each_reduced_differential_once(monkeypatch, capsys):
 
 
 def _cyclic_blocks(module):
-    # the parity blocks as the vertex groups' CyclicActions give them
-    s, u = module.s, module.u
-    minus = s * s
-    a, b, c = (CyclicAction(4, s, module.base), CyclicAction(6, u, module.base),
-               CyclicAction(2, minus, module.base))
-
-    def delta(action, n):
-        return action.coboundary() if n % 2 == 0 else action.norm()
+    # the blocks of the resolution as the vertex groups' CyclicActions and
+    # restrictions give them: coboundaries, norms and partial norms
+    s, base = module.s, module.base
+    a, b, c = (CyclicAction(4, s, base), CyclicAction(6, module.u, base),
+               CyclicAction(2, s * s, base))
 
     def negated(m):
-        return -m if module.base is None else (-m).mod(module.base)
+        return -m if base is None else (-m).mod(base)
 
-    return [(delta(a, n), delta(b, n), negated(delta(c, n - 1)),
-             restriction_cochain_matrix(a, 2, n),
-             negated(restriction_cochain_matrix(b, 3, n)))
-            for n in (0, 1)]
+    return ((a.coboundary(), b.coboundary(), negated(b.coboundary() * c.norm())),
+            (a.norm(), restriction_cochain_matrix(a, 2, 1),
+             negated(restriction_cochain_matrix(b, 3, 1))),
+            c.norm())
 
 
 def test_factored_blocks_match_the_cyclic_actions():
+    # every block is its CyclicAction or restriction expression, and the row
+    # of B^2 that D_1 keeps at top 2 is (0, norm of <U>)
     modules = [standard_coefficient_module("sym_k", k, base=base)
                for k in range(13) for base in (None, 2, 3)]
     modules += [TRIVIAL, standard_coefficient_module("f2_squared")]
+    modules += [_commutator_module(k) for k in range(4)]
     for module in modules:
         assert _parity_blocks(module) == _cyclic_blocks(module), (module.rank, module.base)
+        r = module.rank
+        kept = build_total_complex(module, 2).complex.differentials[1].to_lists()[r:2 * r]
+        norm = CyclicAction(6, module.u, module.base).norm()
+        assert kept == IntegerMatrix.from_blocks([[IntegerMatrix.zeros(r, r), norm]]).to_lists()
 
 
 @pytest.mark.parametrize("base", [None, 3])
@@ -462,6 +466,27 @@ def _unchecked_differentials(module, top):
     return [2 * r] + [3 * r] * top, diffs
 
 
+def _resolution_differentials(module, top):
+    # D_0..D_{top-1} of the resolution build_total_complex returns, written
+    # out from S and U as the amalgam docstring gives them, assuming no
+    # relation; with an even top, D_{top-1} keeps the row of B^top
+    s, u = module.s, module.u
+    r = module.rank
+    eye, zero = IntegerMatrix.identity(r), IntegerMatrix.zeros(r, r)
+    c = s * s
+    norm = eye + u + u * u
+    diffs = [IntegerMatrix.from_blocks([[s - eye], [u - eye]])]
+    for n in range(1, top):
+        if n % 2:
+            grid = [[(eye + c) * (eye + s), zero], [eye + s, -norm]]
+            if n + 1 == top:
+                grid.insert(1, [zero, (eye + c) * norm])
+        else:
+            grid = [[s - eye, zero], [u - eye, -((u - eye) * (eye + c))]]
+        diffs.append(IntegerMatrix.from_blocks(grid))
+    return [r] + [2 * r] * (top - 1) + [(3 - top % 2) * r], diffs
+
+
 # the (S, U, base) of the two rejection tests above
 BAD_MODULES = [GroupModule(s, u, base=base) for s, u, base in [
     (T_MATRIX, U_MATRIX, None), (T_MATRIX, U_MATRIX, 3),
@@ -475,13 +500,14 @@ BAD_MODULES = [GroupModule(s, u, base=base) for s, u, base in [
 def test_the_relation_check_accepts_exactly_what_the_d_o_d_check_accepts(top):
     # build_total_complex checks S^4 = 1 and U^3 = S^2 and stores the
     # complex unchecked; the public constructor multiplies every d_{n+1} o
-    # d_n out.  The two must agree on every module, and on the matrices
+    # d_n of the same resolution out.  The two must agree on every module,
+    # and on the matrices
     modules = [standard_coefficient_module("sym_k", k, base=base)
                for k in range(13) for base in (None, 2, 3)]
     modules += [standard_coefficient_module("f2_squared"), TRIVIAL, *BAD_MODULES]
     rejected = []
     for module in modules:
-        ranks, diffs = _unchecked_differentials(module, top)
+        ranks, diffs = _resolution_differentials(module, top)
         try:
             reference = CochainComplex(ranks, diffs, base=module.base)
         except ValueError as err:
@@ -494,6 +520,59 @@ def test_the_relation_check_accepts_exactly_what_the_d_o_d_check_accepts(top):
         assert (built.ranks, built.differentials, built.base) == \
             (reference.ranks, reference.differentials, reference.base), module
     assert rejected == BAD_MODULES
+
+
+def test_resolution_has_the_cohomology_of_the_mapping_cone():
+    # build_total_complex cancels the identity block of r_A - r_B in every
+    # even degree; the 2r/3r mapping cone it comes from, checked by the
+    # public constructor, gives the same H^p in every degree of every
+    # truncation, and the ranks are r, 2r, ..., 2r, with 3r at an even top
+    modules = [standard_coefficient_module("sym_k", k, base=base)
+               for k in range(13) for base in (None, 2, 3)]
+    modules += [standard_coefficient_module("f2_squared"), TRIVIAL]
+    modules += [_commutator_module(k) for k in range(7)]  # c = S^2 is not +-1
+    for module in modules:
+        r = module.rank
+        cone_ranks, cone_diffs = _unchecked_differentials(module, 9)
+        for top in range(2, 10):
+            cone = CochainComplex(cone_ranks[:top + 1], cone_diffs[:top], base=module.base)
+            built = build_total_complex(module, top).complex
+            ranks = built.ranks
+            assert ranks == (r,) + (2 * r,) * (top - 1) + ((2 if top % 2 else 3) * r,)
+            assert [d.shape for d in built.differentials] == list(zip(ranks[1:], ranks))
+            for p in range(top + 1):
+                assert cohomology_at(built, p) == cohomology_at(cone, p), (r, module.base, top, p)
+
+
+def test_building_sym_k_over_f_p_reduces_no_matrix_afterwards(monkeypatch, capsys):
+    # Sym^k over F_p is formed reduced and every block is reduced in its
+    # product's row accumulators, so no IntegerMatrix.mod rescans a matrix
+    from genusone.cli import main
+    from genusone.group_modules import _sym_module
+
+    calls = []
+    original = IntegerMatrix.mod
+
+    def spy(self, p):
+        calls.append((self.shape, p))
+        return original(self, p)
+
+    monkeypatch.setattr(IntegerMatrix, "mod", spy)
+    _sym_module.cache_clear()
+    _module_complex.cache_clear()
+    try:
+        for base in (2, 3):
+            for k in range(20):
+                module = standard_coefficient_module("sym_k", k, base=base)
+                for top in (2, 3, 4, 5):
+                    build_total_complex(module, top)
+                assert [sl2z_cohomology(k, p, modulus=base) for p in range(4)]
+        assert main(["sl2z", "--k", "96", "--p", "1", "--mod", "2"]) == 0
+    finally:
+        _sym_module.cache_clear()
+        _module_complex.cache_clear()
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 def test_built_complexes_skip_the_row_by_row_check(monkeypatch):

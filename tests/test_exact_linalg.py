@@ -293,6 +293,18 @@ def test_json_round_trip():
         assert FgAbelianGroup(obj["free_rank"], obj["invariant_factors"]) == g
 
 
+def test_complex_rejects_a_base_that_is_not_an_int():
+    # 2.0 passed the prime test (2.0 % 2 == 0), stored the row (0, 1.0) and
+    # failed in pow() when the complex was read; bool and float are refused
+    # before the prime test, as GroupModule and CyclicAction refuse them
+    for base in (2.0, True, 3.0):
+        with pytest.raises(TypeError, match="^base must be int, got "):
+            CochainComplex((1, 1), [IntegerMatrix([[3]])], base=base)
+    cpx = CochainComplex((1, 1), [IntegerMatrix([[3]])], base=2)
+    assert cpx.differentials[0].sparse_rows() == ((0, 1),)
+    assert cohomology_at(cpx, 1) == FgAbelianGroup()
+
+
 def test_complex_rejects_nonzero_composite():
     good = CochainComplex([1, 1, 1],
                           [IntegerMatrix([[2]]), IntegerMatrix([[0]])])
@@ -361,15 +373,17 @@ def test_complex_checks_a_shared_differential_on_both_sides():
 
 
 def test_complex_check_takes_each_distinct_differential_once(monkeypatch):
-    # D_3 is D_1 in the amalgam complex; the check forms no matrix product
-    diffs = build_total_complex(standard_coefficient_module("sym_k", 4), 4).complex.differentials
-    assert diffs[3] is diffs[1]
+    # D_3 is D_1 in the amalgam complex at an odd top; the check forms no
+    # matrix product
+    diffs = build_total_complex(standard_coefficient_module("sym_k", 4), 5).complex.differentials
+    assert diffs[3] is diffs[1] and diffs[4] is diffs[2]
 
-    def no_product(self, other):
+    def no_product(self, other, base=None):
         raise AssertionError("the d o d check built a product")
 
     monkeypatch.setattr(IntegerMatrix, "__mul__", no_product)
-    CochainComplex([10] + [15] * 4, diffs)
+    monkeypatch.setattr(IntegerMatrix, "times", no_product)
+    CochainComplex([5] + [10] * 5, diffs)
 
 
 def test_internal_results_skip_the_public_constructor(monkeypatch):
