@@ -69,7 +69,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix,
-                           _is_prime, _require_int, cohomology_at)
+                           _require_int, _require_prime, cohomology_at)
 from .group_modules import GroupModule, standard_coefficient_module
 
 
@@ -132,6 +132,7 @@ def build_total_complex(module: GroupModule, top_degree: int) -> AmalgamComplex:
     complex, which is therefore stored unchecked.  H^p needs degrees up to
     p + 1.
     """
+    _require_int("top_degree", top_degree)
     if top_degree < 2:
         raise ValueError("top_degree must be at least 2")
     (s_1, u_1, paired), (norm_s, res_a, neg_norm), norm_c = _parity_blocks(module)
@@ -196,8 +197,8 @@ def sl2z_cohomology(k: int, p: int, modulus: int | None = None) -> FgAbelianGrou
         _require_int("modulus", modulus)
     if k < 0 or p < 0:
         raise ValueError("k and p must be non-negative")
-    if modulus is not None and not _is_prime(modulus):
-        raise ValueError(f"modulus must be a prime, got {modulus}")
+    if modulus is not None:
+        _require_prime("modulus", modulus)
     return sl2z_cohomology_module(standard_coefficient_module("sym_k", k, base=modulus), p)
 
 

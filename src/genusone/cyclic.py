@@ -16,16 +16,18 @@ which the group acts through a quotient are fine.
 
 from __future__ import annotations
 
-from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime,
-                           _require_int, cohomology_at)
+from .exact_linalg import (CochainComplex, FgAbelianGroup, IntegerMatrix, _require_int,
+                           _require_prime, cohomology_at)
 
 
 class CyclicAction:
     """An action of Z/m on a free module, over Z (base None) or F_p.
 
-    The powers g^0, ..., g^{m-1} are computed once, reduced over F_p, and
-    the last of them times g is checked to be the identity.  The periodic
-    complex that ``cyclic_cohomology`` reads is built once, on first use.
+    Over F_p (a prime base) the generator is reduced once, by ``mod``, as
+    it enters; its powers (``times``), partial norms (``plus``) and g - 1
+    (``add_identity``) are reduced as they are formed.  The powers g^0,
+    ..., g^{m-1} are formed once and g^m = 1 is checked.  The complex that
+    ``cyclic_cohomology`` reads is built once.
     Equality and hashing cover ``(order, gen, base)`` only, never the
     cached ``_powers`` and ``_complex``, so an action stays a stable dict
     key (``checks.run_oracles`` uses it as one) after its complex is built.
@@ -41,17 +43,17 @@ class CyclicAction:
         self.__post_init__()
 
     def __post_init__(self):
+        _require_int("order", self.order)
         if self.base is not None:
-            _require_int("base", self.base)
-            if not _is_prime(self.base):
-                raise ValueError(f"base must be None or a prime, got {self.base}")
+            _require_prime("base", self.base)
+            self.gen = self.gen.mod(self.base)
         if self.order < 1:
             raise ValueError("group order must be positive")
         if self.gen.rows != self.gen.cols:
             raise ValueError("generator action must be square")
         powers = [IntegerMatrix.identity(self.rank)]
         for _ in range(self.order):
-            powers.append(self._reduce(powers[-1] * self.gen))
+            powers.append(powers[-1].times(self.gen, self.base))
         if not powers.pop().is_identity():
             raise ValueError(f"generator matrix does not satisfy g^{self.order} = I")
         self._powers = tuple(powers)
@@ -67,9 +69,6 @@ class CyclicAction:
     def __repr__(self):
         return f"CyclicAction(order={self.order!r}, gen={self.gen!r}, base={self.base!r})"
 
-    def _reduce(self, m: IntegerMatrix) -> IntegerMatrix:
-        return m.mod(self.base) if self.base is not None else m
-
     @property
     def rank(self) -> int:
         return self.gen.rows
@@ -81,11 +80,11 @@ class CyclicAction:
         """1 + g + ... + g^{d-1}, for 1 <= d <= order."""
         total = self._powers[0]
         for power in self._powers[1:d]:
-            total = total + power
-        return self._reduce(total)
+            total = total.plus(power, self.base)
+        return total
 
     def coboundary(self) -> IntegerMatrix:
-        return self._reduce(self.gen - self._powers[0])
+        return self.gen.add_identity(-1, self.base)
 
     def norm(self) -> IntegerMatrix:
         return self.partial_norm(self.order)
@@ -100,6 +99,7 @@ def periodic_complex(action: CyclicAction, top_degree: int) -> CochainComplex:
     are g^m - 1, which ``CyclicAction`` has checked to vanish, so the
     complex is stored without the d o d check of ``CochainComplex``.
     """
+    _require_int("top_degree", top_degree)
     if top_degree < 0:
         raise ValueError("top_degree must be non-negative")
     delta = action.coboundary()
@@ -134,6 +134,8 @@ def restriction_cochain_matrix(action: CyclicAction, d: int, n: int) -> IntegerM
     degrees.  Together these satisfy restriction o d = d o restriction
     between the period-2 complexes of the group and of the subgroup.
     """
+    _require_int("d", d)
+    _require_int("n", n)
     if d < 1 or action.order % d:
         raise ValueError(f"{d} does not divide the group order {action.order}")
     if n < 0:

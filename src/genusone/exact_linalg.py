@@ -55,6 +55,13 @@ def _require_int(name: str, x) -> None:
         raise TypeError(f"{name} must be int, got {type(x).__name__}")
 
 
+def _require_prime(name: str, p) -> None:
+    """``_require_int``, then ValueError unless p is a prime: the one prime check."""
+    _require_int(name, p)
+    if not _is_prime(p):
+        raise ValueError(f"{name} must be a prime, got {p}")
+
+
 def _is_prime(n: int) -> bool:
     """Trial division by the bases, then deterministic Miller-Rabin.
 
@@ -126,7 +133,8 @@ class IntegerMatrix:
 
     Costs: a product forms a_ij * b_jc only for nonzero factors; a sum
     densifies each row to its width; ``times`` and ``plus`` mod a prime
-    reduce each row as they collect it, where ``mod`` rescans every entry;
+    reduce each row as they collect it, where ``mod`` rescans every entry,
+    and so is called only where a matrix enters from outside;
     ``add_identity`` (X + t I) touches one entry per row.
 
     Degenerate shapes (zero rows or zero columns) are allowed and behave
@@ -573,8 +581,7 @@ def _least_entry(m: list[list[int]]) -> tuple[int, int]:
 
 def fp_rank(rows: Iterable[Iterable[int]], p: int) -> int:
     """Rank over F_p of a matrix given as an iterable of integer rows of one length."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime("p", p)
     mat = [[x % p for x in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -720,8 +727,7 @@ def mod_p_dims(group: FgAbelianGroup, p: int) -> ModPDims:
     ``#factors divisible by p`` respectively, by the invariant-factor
     description.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime("p", p)
     divisible = sum(1 for f in group.invariant_factors if f % p == 0)
     return ModPDims(group.free_rank + divisible, divisible)
 
@@ -751,8 +757,8 @@ class CochainComplex:
     drop a row, so a defect can vanish from the reduced complex (see
     ``_reduce_on_units``).
 
-    ``base`` is None for Z or a prime p for F_p; over F_p the entries are
-    stored reduced.
+    ``base`` is None for Z or a prime p for F_p (``_require_prime``); over
+    F_p the entries are reduced once, by ``mod``, as they enter.
     """
 
     __slots__ = ("ranks", "differentials", "base", "_reduced")
@@ -765,9 +771,7 @@ class CochainComplex:
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
         if base is not None:
-            _require_int("base", base)
-            if not _is_prime(base):
-                raise ValueError(f"base must be a prime or None, got {base}")
+            _require_prime("base", base)
         # reduce while consuming, so an iterator's unreduced matrices are freed
         # one by one; a matrix given reduced is kept, and so stays shared
         diffs = tuple(d if base is None else d.mod(base) for d in differentials)

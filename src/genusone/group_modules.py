@@ -11,9 +11,9 @@ amalgamated product Z/4 *_{Z/2} Z/6 with presentation
 T = [[1, 1], [0, 1]] is recovered as S^{-1} U.
 
 A ``GroupModule`` is the pair of matrices by which S and U act; -I acts
-as S^2 and the rank is the size of S.  Construction checks only shapes,
-and over F_p stores S and U reduced: the relations are certified once,
-when the amalgam complex is built from the module
+as S^2 and the rank is the size of S.  Construction checks only shapes
+and the prime base, and over F_p stores S and U reduced: the relations
+are certified once, when the amalgam complex is built from the module
 (``amalgam._parity_blocks``), by the two products S^2 S^2 and U (U U),
 which is exactly that complex's d o d = 0: the C^1 row of its D_1 o D_0 is
 S^2 - U^3 and its A^2 row S^4 - 1.  The k-th symmetric power of
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_linalg import IntegerMatrix, _is_prime, _require_int
+from .exact_linalg import IntegerMatrix, _require_int, _require_prime
 
 S_MATRIX = IntegerMatrix([[0, -1], [1, 0]])
 U_MATRIX = IntegerMatrix([[0, -1], [1, 1]])
@@ -109,7 +109,7 @@ class GroupModule:
     ``amalgam.build_total_complex`` builds the module's complex; they are
     exactly its d o d = 0 (see ``amalgam._parity_blocks``).  They make S
     and U invertible, so no determinant is taken.  Over F_p, S and U are
-    stored reduced, once the base is known to be a prime.  Equality and
+    stored reduced, once ``_require_prime`` has passed the base.  Equality and
     hashing cover ``(s, u, base)``, so a module, however its entries were
     given, is one cache key of ``amalgam._module_complex``.  The check keeps
     the name ``__post_init__``, which ``bench/spans.py`` traces to count
@@ -134,9 +134,7 @@ class GroupModule:
 
     def __post_init__(self):
         if self.base is not None:
-            _require_int("base", self.base)
-            if not _is_prime(self.base):
-                raise ValueError(f"base must be None or a prime, got {self.base}")
+            _require_prime("base", self.base)
         for gen, mat in (("S", self.s), ("U", self.u)):
             if mat.shape != (self.rank, self.rank):
                 raise ValueError(f"action of {gen} has shape {mat.shape}")
@@ -160,14 +158,8 @@ class GroupModule:
         """The same module with coefficients reduced mod a prime."""
         if self.base is not None:
             raise ValueError("module is already over a prime field")
-        _require_prime(p)
+        _require_prime("p", p)
         return GroupModule(self.s, self.u, base=p)
-
-
-def _require_prime(p: int) -> None:
-    _require_int("p", p)
-    if not _is_prime(p):
-        raise ValueError(f"can only reduce modulo a prime, got {p}")
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +181,7 @@ def standard_coefficient_module(name: str, k: int | None = None,
     if base is not None:
         if name != "sym_k":
             raise ValueError(f"module {name!r} takes no base")
-        _require_prime(base)
+        _require_prime("base", base)
     if name == "sym_k":
         if k is None:
             raise ValueError("sym_k needs a non-negative degree k")

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .amalgam import sl2z_cohomology
-from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _is_prime, direct_sum,
-                           localize, mod_p_dims)
+from .exact_linalg import (FgAbelianGroup, IntegerMatrix, _require_int, _require_prime,
+                           direct_sum, localize, mod_p_dims)
 from .group_modules import S_MATRIX, T_MATRIX, sym_power_matrix
 
 #: mod-2 dimensions of the complement part in degrees 0..8, an external
@@ -52,6 +52,7 @@ class E2Page(NamedTuple):
 
 
 def e2_page(n_max: int) -> E2Page:
+    _require_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     entries = {}
@@ -74,6 +75,7 @@ def complement_group(n: int) -> FgAbelianGroup:
     Z/4 entry in row q = 8 at total degree 10), so larger degrees raise
     instead of guessing.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n > DEGENERATION_BOUND:
@@ -122,6 +124,7 @@ def mod2_consistency(n_max: int = 8) -> Mod2Report:
     degrees <= 9: any nonzero differential or nonsplit extension would
     make some computed count too small.
     """
+    _require_int("n_max", n_max)
     if not 0 <= n_max <= len(EXPECTED_MOD2_DIMS) - 1:
         raise ValueError(f"n_max must be in 0..{len(EXPECTED_MOD2_DIMS) - 1}, got {n_max}")
     rows = []
@@ -150,10 +153,9 @@ def p_torsion_scan(q: int) -> PTorsionWitness:
     by the actions of S and T = S^-1 U on degree-(q+1) forms, and some
     invariant factor of the integral H^1 is divisible by q.
     """
+    _require_prime("q", q)
     if q == 2:
         raise ValueError("only odd primes are supported")
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not an odd prime")
     k = q + 1
     vector = [0] * (k + 1)
     vector[1] = 1        # X^q Y

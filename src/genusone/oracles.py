@@ -33,7 +33,7 @@ import math
 from functools import lru_cache
 
 from .cyclic import CyclicAction
-from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, _is_prime
+from .exact_linalg import CochainComplex, FgAbelianGroup, IntegerMatrix, _require_prime
 
 
 def _sparse_rows(m: IntegerMatrix) -> dict:
@@ -63,7 +63,7 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
     operations, which change no other row; if v is then alone in its row
     too, it is a diagonal entry |v| times the content divided out so far.
     A nonzero remainder is smaller than |v| and becomes a later pivot.
-    Gcd/lcm pairs (Z/a + Z/b = Z/gcd + Z/lcm) turn the entries above 1
+    The invariant factors of ``FgAbelianGroup`` turn the entries above 1
     into a divisor chain.
 
     When a dict ``pivots`` is given, each unit pivot (i, j) taken before
@@ -136,12 +136,8 @@ def _sparse_rows_diagonal(rows: dict, pivots=None) -> list:
         del rows[pi], cols[pj]
         diagonal.append(abs(pivot) * scale)
 
-    chain = [d for d in diagonal if d > 1]
-    for a in range(len(chain)):
-        for b in range(a + 1, len(chain)):
-            g = math.gcd(chain[a], chain[b])
-            chain[a], chain[b] = g, chain[a] // g * chain[b]
-    return [1] * (len(diagonal) - len(chain)) + chain
+    chain = FgAbelianGroup(0, diagonal).invariant_factors
+    return [1] * (len(diagonal) - len(chain)) + list(chain)
 
 
 def _fraction_pivots(rows: list, cols: int) -> tuple[list, int]:
@@ -311,8 +307,8 @@ def bar_cohomology(action: CyclicAction, n: int, base=None) -> list:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if base is not None and not _is_prime(base):
-        raise ValueError(f"base must be None or a prime, got {base}")
+    if base is not None:
+        _require_prime("base", base)
     m, r = action.order, action.rank
     powers = [action.power(i) for i in range(m)]
     groups = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .exact_linalg import _is_prime, fp_rank
+from .exact_linalg import _require_prime, fp_rank
 
 MODULUS = 4
 
@@ -176,9 +176,8 @@ class FiniteGroupData:
 
     def __init__(self, elements: tuple, table: tuple, action: tuple, p: int):
         self.elements, self.table, self.action, self.p = elements, table, action, p
+        _require_prime("p", self.p)
         n = len(self.elements)
-        if not _is_prime(self.p):
-            raise ValueError("the coefficient field needs a prime p")
         if n < 1:
             raise ValueError("a finite group needs at least one element")
         if len(self.table) != n or any(len(row) != n for row in self.table):

@@ -19,7 +19,7 @@ def test_rejects_wrong_order():
 def test_rejects_a_base_that_is_not_prime(base):
     # checked before anything is reduced: base 0 would divide by zero,
     # bases 1 and -2 would fail as a wrong order, and base 4 would pass
-    with pytest.raises(ValueError, match="base must be None or a prime"):
+    with pytest.raises(ValueError, match="base must be a prime"):
         CyclicAction(2, IntegerMatrix([[-1]]), base=base)
 
 

@@ -4,12 +4,17 @@ import random
 import pytest
 
 import genusone.amalgam as amalgam
+import genusone.moduli as moduli
+import genusone.oracles as oracles
 from genusone.amalgam import build_total_complex, sl2z_cohomology, sl2z_cohomology_module
-from genusone.cyclic import CyclicAction
-from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix
+from genusone.cyclic import CyclicAction, periodic_complex, restriction_cochain_matrix
+from genusone.exact_linalg import FgAbelianGroup, IntegerMatrix, fp_rank, mod_p_dims
 from genusone.group_modules import (GroupModule, S_MATRIX,
                                     standard_coefficient_module, sym_power_matrix,
                                     T_MATRIX, U_MATRIX)
+from genusone.moduli import complement_group, e2_page, mod2_consistency, p_torsion_scan
+from genusone.oracles import bar_cohomology
+from genusone.torsor import FiniteGroupData, cyclic_group_data
 
 
 def test_generator_relations():
@@ -30,7 +35,7 @@ def test_generator_validation():
     # construction checks the form: a prime base and square actions S and U
     # of one size; -I acts as S^2 and is not an input
     one, minus = IntegerMatrix([[1]]), IntegerMatrix([[-1]])
-    with pytest.raises(ValueError, match="base must be None or a prime"):
+    with pytest.raises(ValueError, match="base must be a prime"):
         GroupModule(minus, one, base=4)
     with pytest.raises(ValueError, match="action of U has shape"):
         GroupModule(minus, IntegerMatrix.identity(2))
@@ -170,7 +175,7 @@ def test_sym_module_over_a_prime_field_is_the_reduction():
     f2_squared = standard_coefficient_module("f2_squared")
     assert f2_squared == standard_coefficient_module("sym_k", 1).reduce(2)
     assert f2_squared.rank == 2 and f2_squared.base == 2
-    with pytest.raises(ValueError, match="can only reduce modulo a prime"):
+    with pytest.raises(ValueError, match="base must be a prime"):
         standard_coefficient_module("sym_k", 2, base=4)
     with pytest.raises(ValueError, match="takes no base"):
         standard_coefficient_module("f2_squared", base=2)
@@ -193,7 +198,7 @@ def test_sym_module_over_a_prime_field_is_reduced_once(monkeypatch):
 
 @pytest.mark.parametrize("p", [0, 1, 4])
 def test_reduction_rejects_non_prime(p):
-    with pytest.raises(ValueError, match="can only reduce modulo a prime"):
+    with pytest.raises(ValueError, match="p must be a prime"):
         standard_coefficient_module("sym_k", k=1).reduce(p)
 
 
@@ -253,7 +258,7 @@ def test_non_int_bases_and_degrees_are_rejected_before_any_cache():
         GroupModule(S_MATRIX, U_MATRIX, base=2.0)
     with pytest.raises(TypeError, match="^base must be int, got float"):
         CyclicAction(4, S_MATRIX, base=2.0)
-    with pytest.raises(TypeError, match="^p must be int, got float"):
+    with pytest.raises(TypeError, match="^base must be int, got float"):
         standard_coefficient_module("sym_k", 3, base=2.0)
     with pytest.raises(TypeError, match="^k must be int, got bool"):
         standard_coefficient_module("sym_k", True)
@@ -264,6 +269,66 @@ def test_non_int_bases_and_degrees_are_rejected_before_any_cache():
             sym_power_matrix(*args)
     assert _sym_module.cache_info() == before
     assert sl2z_cohomology(3, 1, modulus=2) == FgAbelianGroup(0, [2, 2])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started before the argument was checked")
+
+
+def test_float_primes_and_orders_are_rejected_before_any_work(monkeypatch):
+    # every prime is checked by exact_linalg._require_prime, which checks
+    # the int first: 3.0 and 2.0 used to pass the prime test and fail deep
+    # in the work (or, in mod_p_dims, return), and CyclicAction(True, g)
+    # was the order-1 action; a spy on each entry point's work shows it
+    # never starts
+    consumed = []
+    rows = (consumed.append(row) or row for row in [[1, 2], [3, 4]])
+    with pytest.raises(TypeError, match="^p must be int, got float$"):
+        fp_rank(rows, 3.0)
+    assert consumed == []
+    with pytest.raises(TypeError, match="^p must be int, got float$"):
+        mod_p_dims(FgAbelianGroup(1, [6]), 3.0)
+    action = CyclicAction(2, IntegerMatrix([[-1]]))
+    monkeypatch.setattr(oracles, "_bar_transposed", _never)
+    with pytest.raises(TypeError, match="^base must be int, got float$"):
+        bar_cohomology(action, 2, base=2.0)
+    # the table is not associative, which FiniteGroupData would report
+    with pytest.raises(TypeError, match="^p must be int, got float$"):
+        FiniteGroupData((0, 1), ((0, 1), (1, 1)), (), 2.0)
+    with pytest.raises(TypeError, match="^p must be int, got float$"):
+        cyclic_group_data(4, [[0, -1], [1, 0]], 2.0)
+    monkeypatch.setattr(moduli, "sym_power_matrix", _never)
+    monkeypatch.setattr(moduli, "sl2z_cohomology", _never)
+    with pytest.raises(TypeError, match="^q must be int, got float$"):
+        p_torsion_scan(5.0)
+    monkeypatch.setattr(IntegerMatrix, "times", _never)
+    for order, gen in ((True, IntegerMatrix.identity(2)), (4.0, S_MATRIX)):
+        with pytest.raises(TypeError, match=f"^order must be int, got {type(order).__name__}$"):
+            CyclicAction(order, gen)
+
+
+_ACTION = CyclicAction(2, IntegerMatrix([[-1]]))
+
+
+@pytest.mark.parametrize("bad", [3.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("build, name", [
+    (lambda bad: build_total_complex(standard_coefficient_module("sym_k", 2), bad), "top_degree"),
+    (lambda bad: periodic_complex(_ACTION, bad), "top_degree"),
+    (lambda bad: restriction_cochain_matrix(_ACTION, bad, 1), "d"),
+    (lambda bad: restriction_cochain_matrix(_ACTION, 1, bad), "n"),
+    (complement_group, "n"),
+    (e2_page, "n_max"),
+    (mod2_consistency, "n_max"),
+], ids=["build_total_complex", "periodic_complex", "restriction_d", "restriction_n",
+        "complement_group", "e2_page", "mod2_consistency"])
+def test_builders_reject_counts_that_are_not_ints(monkeypatch, build, name, bad):
+    # 3.0 failed inside a slice or a range, True was read as 1; each builder
+    # now names the count in a one-line TypeError before its work starts
+    for owner, attr in ((amalgam, "_parity_blocks"), (CyclicAction, "coboundary"),
+                        (CyclicAction, "partial_norm"), (moduli, "e2_entry")):
+        monkeypatch.setattr(owner, attr, _never)
+    with pytest.raises(TypeError, match=f"^{name} must be int, got {type(bad).__name__}$"):
+        build(bad)
 
 
 def test_a_module_over_f_p_is_one_cache_key_however_its_entries_are_given(monkeypatch):

@@ -135,6 +135,51 @@ def test_the_field_check_sees_an_unread_field():
     assert _unread_fields({"m": source}, [source, reader]) == ["Pair.gone", "Slots.lost"]
 
 
+#: the only functions in src/ that may call each guarded name: one prime
+#: check, and ``IntegerMatrix.mod`` only where a matrix enters from outside
+ALLOWED_CALLERS = {"_is_prime": {"_require_prime", "_factor"},
+                   "mod": {"CochainComplex.__init__", "GroupModule.__init__",
+                           "CyclicAction.__post_init__"}}
+
+
+def _stray_calls(tree: ast.Module, allowed: dict) -> list[str]:
+    # each call of a guarded name, as a function or as a method, from a
+    # function (dotted by its enclosing classes and functions) not allowed
+    # to call it; doctests are strings, so they are not calls
+    stray = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                caller = ".".join(scope) or "<module>"
+                if name in allowed and caller not in allowed[name]:
+                    stray.append(f"{caller} calls {name} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(tree, ())
+    return stray
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_primes_are_checked_and_matrices_reduced_in_one_place(path):
+    assert _stray_calls(ast.parse(path.read_text(encoding="utf-8")), ALLOWED_CALLERS) == []
+
+
+def test_the_call_guard_sees_a_stray_call():
+    source = ("def _require_prime(name, p):\n    return _is_prime(p)\n"
+              "class CyclicAction:\n    def __post_init__(self):\n        self.gen.mod(2)\n"
+              "    def norm(self):\n        return total.mod(self.base)\n"
+              "def fp_rank(rows, p):\n    if not _is_prime(p):\n        pass\n"
+              "_is_prime(7)\n")
+    assert _stray_calls(ast.parse(source), ALLOWED_CALLERS) == [
+        "CyclicAction.norm calls mod (line 7)", "fp_rank calls _is_prime (line 9)",
+        "<module> calls _is_prime (line 11)"]
+
+
 #: modules that ``dataclasses`` pulls in, and ``fractions`` with the ``decimal``
 #: it loads, which only the oracles and the cochain checks use, inside the
 #: functions that need them; none is needed to run the CLI

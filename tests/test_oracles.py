@@ -551,5 +551,5 @@ def test_bar_degree_validation():
 def test_bar_rejects_a_base_that_is_not_prime(base):
     # a composite base would count divisors prime to it as an F_base rank
     act = CyclicAction(2, IntegerMatrix([[-1]]))
-    with pytest.raises(ValueError, match="base must be None or a prime"):
+    with pytest.raises(ValueError, match="base must be a prime"):
         bar_cohomology(act, 2, base=base)
